@@ -51,7 +51,7 @@ from .bethe import (
 )
 from .yang_baxter import (
     GaussianRational,
-    RegRepMatrix,
+    GroupAlgebraElement,
     YangOperator,
     check_unitarity,
     delta_control_defect,
@@ -94,7 +94,7 @@ __all__ = [
     "free_boson_wavefunction", "gaudin_amplitudes", "gaudin_residual_scan",
     "gaudin_wavefunction", "ground_state_scan", "schrodinger_residual",
     "solve_bethe", "solve_lieb_liniger",
-    "GaussianRational", "RegRepMatrix", "YangOperator",
+    "GaussianRational", "GroupAlgebraElement", "YangOperator",
     "check_unitarity", "delta_control_defect", "delta_variant",
     "regular_rep", "yang_op", "yb_defect",
     "BogoliubovPair", "RelativisticParams",

@@ -8,7 +8,7 @@ wedge amplitudes (functions on S_N) through the regular representation:
 where T_i is the adjacent transposition of slots i, i+1 and u the momentum
 difference entering the exchange.  Everything here is computed over the
 Gaussian rationals (complex numbers with Fraction parts), so the three
-verdicts this module produces are theorems about the stated matrices, not
+verdicts this module produces are theorems about the stated operators, not
 float statements:
 
   * unitarity Y_i(-u) Y_i(u) = identity holds exactly for every admissible
@@ -22,32 +22,33 @@ float statements:
     passes the same Yang-Baxter check exactly, so the failure above is a
     property of the model and not of the machinery.
 
-Basis and conventions.  S_N is ordered lexicographically in one-line
-notation, compose(p, q)(a) = p[q[a]], and rep(R) has entries
-delta_{Q', QR}, i.e. (rep(R) v)(Q) = v(QR).  Matrices are stored as sparse
-rows (dict column -> entry); products of Yang operators stay very sparse.
-The dimension guard N <= 6 keeps the exact 720x720 products desk-scale.
+Representation and conventions.  An operator is the group-algebra element
+sum_R a_R R of C[S_N], stored sparsely as {R: a_R} and multiplied by
+a_p b_q -> compose(p, q), where compose(p, q)(a) = p[q[a]].  The matrix of R
+in the regular representation, rep(R) with entries delta_{Q', QR}, i.e.
+(rep(R) v)(Q) = v(QR), is indexed by S_N ordered lexicographically in
+one-line notation.  Every row of that N! x N! matrix holds the same
+coefficients, and row 0 (Q = identity) holds a_R in column rank(R), so the
+element is row 0 and matrix coordinates are reported as (0, rank(R)).  The
+representation is faithful: zero and identity tests, the projections and
+the largest entry read the same off the element as off the matrix.  A
+Yang-Baxter triple product involves only T_i and T_{i+1}, so it has at most
+six terms and costs the same at every N; no particle-number guard applies.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 __all__ = [
-    "MAX_PARTICLES_EXACT",
-    "GaussianRational", "RegRepMatrix", "YangOperator", "DefectResult",
+    "GaussianRational", "GroupAlgebraElement", "YangOperator", "DefectResult",
     "compose", "perm_sign", "regular_rep",
     "yang_op", "check_unitarity", "yb_defect",
     "delta_yang_op", "delta_variant", "delta_control_defect",
     "check_delta_unitarity",
     "trivial_projection", "sign_projection",
 ]
-
-# exact N!xN! products; 7! would already mean 5040x5040 rational matrices
-MAX_PARTICLES_EXACT = 6
 
 
 def _fraction(value) -> Fraction:
@@ -131,15 +132,6 @@ GR_ONE = GaussianRational(Fraction(1), Fraction(0))
 GR_I = GaussianRational(Fraction(0), Fraction(1))
 
 
-def _basis(n: int) -> list[tuple[int, ...]]:
-    return list(itertools.permutations(range(n)))
-
-
-@lru_cache(maxsize=None)
-def _basis_index(n: int) -> dict[tuple[int, ...], int]:
-    return {p: a for a, p in enumerate(_basis(n))}
-
-
 def compose(p, q) -> tuple[int, ...]:
     """(p o q)(a) = p[q[a]]: apply q first, then p."""
     return tuple(p[q[a]] for a in range(len(p)))
@@ -155,10 +147,17 @@ def perm_sign(p) -> int:
     return sign
 
 
+def _rank(p) -> int:
+    """Lexicographic rank of p among the permutations of its length (Lehmer code)."""
+    rank = 0
+    for a, pa in enumerate(p):
+        rank = rank * (len(p) - a) + sum(1 for pb in p[a + 1:] if pb < pa)
+    return rank
+
+
 def _check_n(n: int) -> None:
-    if not 1 <= n <= MAX_PARTICLES_EXACT:
-        raise ValueError(f"N = {n} outside the exact-matrix guard "
-                         f"(1..{MAX_PARTICLES_EXACT})")
+    if n < 1:
+        raise ValueError(f"N = {n} is not a positive particle number")
 
 
 def _check_perm(r, n: int) -> tuple[int, ...]:
@@ -168,124 +167,111 @@ def _check_perm(r, n: int) -> tuple[int, ...]:
     return r
 
 
-class RegRepMatrix:
-    """Square matrix over the Gaussian rationals on the S_N basis.
+def _accumulate(acc: dict, r, term: GaussianRational) -> None:
+    # zero sums are dropped, and a coefficient that reappears goes to the end:
+    # the order max_abs_entry breaks ties by
+    prev = acc.get(r)
+    val = term if prev is None else prev + term
+    if val.is_zero:
+        acc.pop(r, None)
+    else:
+        acc[r] = val
 
-    Rows are stored sparsely as {column: entry} with zero entries dropped,
-    so equality is plain structural equality.
+
+class GroupAlgebraElement:
+    """Element sum_R a_R R of the group algebra C[S_N] over the Gaussian
+    rationals, stored as {R: a_R} with zero coefficients dropped, so
+    equality is plain structural equality.
+
+    This is row 0 of the element's regular-representation matrix, and the
+    operations insert coefficients in the order the sparse row products of
+    that matrix would.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, rows):
+    def __init__(self, n: int, coeffs):
         self.n = n
-        self.rows = rows   # list of dicts, already zero-free
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+        self.coeffs = coeffs   # dict permutation -> entry, already zero-free
 
     @classmethod
-    def zero(cls, n: int) -> "RegRepMatrix":
+    def zero(cls, n: int) -> "GroupAlgebraElement":
         _check_n(n)
-        dim = len(_basis(n))
-        return cls(n, [{} for _ in range(dim)])
+        return cls(n, {})
 
     @classmethod
-    def identity(cls, n: int) -> "RegRepMatrix":
+    def identity(cls, n: int) -> "GroupAlgebraElement":
         _check_n(n)
-        dim = len(_basis(n))
-        return cls(n, [{a: GR_ONE} for a in range(dim)])
+        return cls(n, {tuple(range(n)): GR_ONE})
 
-    def entry(self, row: int, col: int) -> GaussianRational:
-        return self.rows[row].get(col, GR_ZERO)
-
-    def __matmul__(self, other: "RegRepMatrix") -> "RegRepMatrix":
+    def _check_same_n(self, other: "GroupAlgebraElement") -> None:
         if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        rows = []
-        for row in self.rows:
-            acc: dict[int, GaussianRational] = {}
-            for mid, a in row.items():
-                for col, b in other.rows[mid].items():
-                    prev = acc.get(col)
-                    val = a * b if prev is None else prev + a * b
-                    if val.is_zero:
-                        acc.pop(col, None)
-                    else:
-                        acc[col] = val
-            rows.append(acc)
-        return RegRepMatrix(self.n, rows)
+            raise ValueError(f"cannot combine elements of C[S_{self.n}] and C[S_{other.n}]")
 
-    def __add__(self, other: "RegRepMatrix") -> "RegRepMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        rows = []
-        for ra, rb in zip(self.rows, other.rows):
-            acc = dict(ra)
-            for col, b in rb.items():
-                val = acc.get(col, GR_ZERO) + b
-                if val.is_zero:
-                    acc.pop(col, None)
-                else:
-                    acc[col] = val
-            rows.append(acc)
-        return RegRepMatrix(self.n, rows)
+    def __matmul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        self._check_same_n(other)
+        acc: dict[tuple[int, ...], GaussianRational] = {}
+        for p, a in self.coeffs.items():
+            for q, b in other.coeffs.items():
+                _accumulate(acc, compose(p, q), a * b)
+        return GroupAlgebraElement(self.n, acc)
 
-    def __sub__(self, other: "RegRepMatrix") -> "RegRepMatrix":
+    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        self._check_same_n(other)
+        acc = dict(self.coeffs)
+        for r, b in other.coeffs.items():
+            _accumulate(acc, r, b)
+        return GroupAlgebraElement(self.n, acc)
+
+    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return self + other.scale(GaussianRational(Fraction(-1)))
 
-    def scale(self, factor) -> "RegRepMatrix":
+    def scale(self, factor) -> "GroupAlgebraElement":
         factor = GaussianRational.of(factor)
         if factor.is_zero:
-            return RegRepMatrix.zero(self.n)
-        return RegRepMatrix(self.n, [{c: factor * v for c, v in row.items()}
-                                     for row in self.rows])
+            return GroupAlgebraElement.zero(self.n)
+        return GroupAlgebraElement(self.n, {r: factor * v for r, v in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, RegRepMatrix):
+        if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        return self.n == other.n and self.coeffs == other.coeffs
 
     @property
     def is_zero(self) -> bool:
-        return all(not row for row in self.rows)
+        return not self.coeffs
 
     def first_nonzero(self):
-        """Row-major (row, col, entry) of the first nonzero entry, or None."""
-        for r, row in enumerate(self.rows):
-            if row:
-                c = min(row)
-                return r, c, row[c]
-        return None
+        """(row, col, entry) of the first nonzero matrix entry in row-major
+        order, i.e. (0, rank(R), a_R) for the lexicographically first R in
+        the support; None for zero."""
+        if not self.coeffs:
+            return None
+        r = min(self.coeffs)
+        return 0, _rank(r), self.coeffs[r]
 
     def max_abs_entry(self):
-        """(entry, (row, col)) with the largest exact squared modulus;
-        (zero, None) for the zero matrix."""
+        """(entry, (0, rank(R))) of the coefficient with the largest exact
+        squared modulus, ties going to the first in insertion order; this is
+        the matrix's own row-major answer.  (zero, None) for zero."""
         best = GR_ZERO
         best_pos = None
         best_abs2 = Fraction(0)
-        for r, row in enumerate(self.rows):
-            for c, v in row.items():
-                a2 = v.abs2()
-                if a2 > best_abs2:
-                    best, best_pos, best_abs2 = v, (r, c), a2
+        for r, v in self.coeffs.items():
+            a2 = v.abs2()
+            if a2 > best_abs2:
+                best, best_pos, best_abs2 = v, (0, _rank(r)), a2
         return best, best_pos
 
     def __repr__(self) -> str:
-        nnz = sum(len(row) for row in self.rows)
-        return f"RegRepMatrix(n={self.n}, dim={self.dim}, nnz={nnz})"
+        return f"GroupAlgebraElement(n={self.n}, terms={len(self.coeffs)})"
 
 
-def regular_rep(r, n: int) -> RegRepMatrix:
-    """Matrix of R in the regular representation: (rep(R) v)(Q) = v(QR)."""
+def regular_rep(r, n: int) -> GroupAlgebraElement:
+    """R as a basis element of C[S_N]; its regular-representation matrix
+    is (rep(R) v)(Q) = v(QR)."""
     _check_n(n)
-    r = _check_perm(r, n)
-    index = _basis_index(n)
-    rows = []
-    for q in _basis(n):
-        rows.append({index[compose(q, r)]: GR_ONE})
-    return RegRepMatrix(n, rows)
+    return GroupAlgebraElement(n, {_check_perm(r, n): GR_ONE})
 
 
 def _transposition(i: int, n: int) -> tuple[int, ...]:
@@ -299,12 +285,13 @@ def _transposition(i: int, n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class YangOperator:
-    """Exchange operator Y_i(u) = (iu - (1/lam) T_i) / (iu - 1/lam)."""
+    """Exchange operator Y_i(u) = (iu - (1/lam) T_i) / (iu - 1/lam); `matrix`
+    is the group-algebra element, i.e. row 0 of the operator's matrix."""
     n: int
     site: int
     u: Fraction
     inv_lam: Fraction
-    matrix: RegRepMatrix
+    matrix: GroupAlgebraElement
 
     def trivial_scalar(self) -> GaussianRational:
         """Action on the boson sector (T_i -> +1): always 1."""
@@ -327,7 +314,7 @@ def yang_op(i: int, u, lam, n: int) -> YangOperator:
     inv_lam = 1 / lam
     t = regular_rep(_transposition(i, n), n)
     denom = GR_I * u - GaussianRational.of(inv_lam)   # nonzero: u real, 1/lam != 0
-    ident = RegRepMatrix.identity(n)
+    ident = GroupAlgebraElement.identity(n)
     matrix = (ident.scale(GR_I * u) + t.scale(-GaussianRational.of(inv_lam))).scale(GR_ONE / denom)
     return YangOperator(n=n, site=i, u=u, inv_lam=inv_lam, matrix=matrix)
 
@@ -337,30 +324,29 @@ def check_unitarity(i: int, u, lam, n: int) -> bool:
     u = _fraction(u)
     left = yang_op(i, -u, lam, n).matrix
     right = yang_op(i, u, lam, n).matrix
-    return (left @ right) == RegRepMatrix.identity(n)
+    return (left @ right) == GroupAlgebraElement.identity(n)
 
 
-def trivial_projection(m: RegRepMatrix) -> GaussianRational:
-    """Scalar action on the constant vector v(Q) = 1, read off row 0."""
+def trivial_projection(m: GroupAlgebraElement) -> GaussianRational:
+    """Scalar action on the constant vector v(Q) = 1: sum_R a_R."""
     total = GR_ZERO
-    for v in m.rows[0].values():
+    for v in m.coeffs.values():
         total = total + v
     return total
 
 
-def sign_projection(m: RegRepMatrix) -> GaussianRational:
-    """Scalar action on v(Q) = sgn(Q), read off row 0 (row 0 is the identity)."""
-    basis = _basis(m.n)
+def sign_projection(m: GroupAlgebraElement) -> GaussianRational:
+    """Scalar action on v(Q) = sgn(Q): sum_R a_R sgn(R)."""
     total = GR_ZERO
-    for c, v in m.rows[0].items():
-        total = total + v * perm_sign(basis[c])
+    for r, v in m.coeffs.items():
+        total = total + v * perm_sign(r)
     return total
 
 
 @dataclass(frozen=True)
 class DefectResult:
     """Difference of the two Yang-Baxter triple products, exactly."""
-    matrix: RegRepMatrix
+    matrix: GroupAlgebraElement
     max_entry: GaussianRational
     max_position: tuple[int, int] | None
 
@@ -392,11 +378,11 @@ def yb_defect(i: int, u, v, lam, n: int) -> DefectResult:
     return DefectResult(matrix=d, max_entry=max_entry, max_position=max_pos)
 
 
-def delta_yang_op(i: int, u, c, n: int, variant: tuple[int, int] | None = None) -> RegRepMatrix:
+def delta_yang_op(i: int, u, c, n: int,
+                  variant: tuple[int, int] | None = None) -> GroupAlgebraElement:
     """Delta-interaction exchange operator (s_u u T_i + s_c ic) / (u - ic).
 
-    variant = (s_u, s_c); None uses the empirically fixed one from
-    delta_variant().
+    variant = (s_u, s_c); None uses the convention delta_variant().
     """
     _check_n(n)
     u = _fraction(u)
@@ -408,16 +394,9 @@ def delta_yang_op(i: int, u, c, n: int, variant: tuple[int, int] | None = None) 
     s_u, s_c = variant
     t = regular_rep(_transposition(i, n), n)
     denom = GaussianRational.of(u) - GR_I * c
-    ident = RegRepMatrix.identity(n)
+    ident = GroupAlgebraElement.identity(n)
     num = t.scale(GaussianRational.of(s_u * u)) + ident.scale(GR_I * (s_c * c))
     return num.scale(GR_ONE / denom)
-
-
-def _delta_yb_zero(variant, i, u, v, c, n) -> bool:
-    y = lambda site, arg: delta_yang_op(site, arg, c, n, variant=variant)
-    left = y(i, v) @ y(i + 1, u + v) @ y(i, u)
-    right = y(i + 1, u) @ y(i, v + u) @ y(i + 1, v)
-    return (left - right).is_zero
 
 
 def check_delta_unitarity(i: int, u, c, n: int,
@@ -425,26 +404,22 @@ def check_delta_unitarity(i: int, u, c, n: int,
     """Exact truth of Y^d_i(-u) Y^d_i(u) = identity."""
     u = _fraction(u)
     prod = delta_yang_op(i, -u, c, n, variant) @ delta_yang_op(i, u, c, n, variant)
-    return prod == RegRepMatrix.identity(n)
+    return prod == GroupAlgebraElement.identity(n)
 
 
-@lru_cache(maxsize=1)
 def delta_variant() -> tuple[int, int]:
-    """Sign convention (s_u, s_c) of the delta-interaction operator, fixed by
-    probing the four candidates at (u, v, c) = (1, 2, 1), N = 3, i = 1 and
-    keeping the first that passes exact unitarity and exact Yang-Baxter."""
-    probe = (Fraction(1), Fraction(2), Fraction(1))
-    for variant in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        u, v, c = probe
-        if (check_delta_unitarity(1, u, c, 3, variant)
-                and _delta_yb_zero(variant, 1, u, v, c, 3)):
-            return variant
-    raise RuntimeError("no sign variant of the delta operator passes the probe")
+    """Sign convention (s_u, s_c) = (1, 1) of the delta-interaction operator,
+    i.e. Y^d_i(u) = (u T_i + ic) / (u - ic).
+
+    A fixed convention, not a search result: all four sign variants pass
+    exact unitarity and the exact Yang-Baxter relation, so neither check
+    can single one out."""
+    return (1, 1)
 
 
-def delta_control_defect(i: int, u, v, c, n: int) -> RegRepMatrix:
+def delta_control_defect(i: int, u, v, c, n: int) -> GroupAlgebraElement:
     """Yang-Baxter defect of the delta-interaction operator: exactly the zero
-    matrix (the solvable control for yb_defect)."""
+    element (the solvable control for yb_defect)."""
     _check_n(n)
     if not 1 <= i <= n - 2:
         raise ValueError(f"delta control needs sites i and i+1: i = {i} outside 1..{n - 2}")

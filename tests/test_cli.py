@@ -163,7 +163,19 @@ def test_exit_1_on_malformed_number(capsys):
 
 def test_exit_1_on_out_of_guard_n(capsys):
     assert main(["gaudin-check", "--n", "9", "--draws", "1"]) == 1
-    assert main(["yb-check", "--n", "7", "--u", "1", "--v", "2", "--lambda", "1"]) == 1
+
+
+def test_exact_checks_have_no_particle_number_guard(capsys):
+    triple = ["--u", "1", "--v", "2"]
+    for n in ("7", "8"):
+        code, record = run_json(capsys, ["yb-check", "--n", n, "--i", "5", "--lambda", "1"]
+                                + triple)
+        assert code == 0
+        assert record["results"]["max_entry"] == "7/10"
+        code, record = run_json(capsys, ["delta-control", "--n", n, "--i", "5", "--c", "1"]
+                                + triple)
+        assert code == 0
+        assert record["results"]["defect_zero"] is True
 
 
 def test_exit_1_on_float_passed_to_exact_check(capsys):

@@ -1,6 +1,7 @@
 """Exact Gaussian-rational algebra: unitarity holds, Yang-Baxter fails,
 the delta-interaction control passes."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from momgas.yang_baxter import (
-    GR_I, GR_ONE, GR_ZERO, MAX_PARTICLES_EXACT,
-    GaussianRational, RegRepMatrix,
+    GR_I, GR_ONE, GR_ZERO,
+    GaussianRational, GroupAlgebraElement,
     check_delta_unitarity, check_unitarity, compose,
     delta_control_defect, delta_variant, delta_yang_op, perm_sign,
     regular_rep, sign_projection, trivial_projection, yang_op, yb_defect,
@@ -80,7 +81,7 @@ def test_mixed_arithmetic_with_ints_and_fractions():
 
 
 # ---------------------------------------------------------------------------
-# permutations and the regular representation
+# permutations and the group algebra C[S_N]
 
 
 def test_compose_applies_right_factor_first():
@@ -101,7 +102,7 @@ def test_regular_rep_is_a_homomorphism_on_s3():
 
 
 def test_regular_rep_identity_and_involution():
-    ident = RegRepMatrix.identity(3)
+    ident = GroupAlgebraElement.identity(3)
     assert regular_rep((0, 1, 2), 3) == ident
     t = regular_rep((1, 0, 2), 3)
     assert t @ t == ident
@@ -113,23 +114,33 @@ def test_regular_rep_validates_input():
     with pytest.raises(ValueError):
         regular_rep((0, 1), 3)
     with pytest.raises(ValueError):
-        RegRepMatrix.identity(MAX_PARTICLES_EXACT + 1)
+        GroupAlgebraElement.identity(0)
 
 
-def test_matrix_algebra_basics():
-    ident = RegRepMatrix.identity(3)
-    zero = RegRepMatrix.zero(3)
+def test_group_algebra_basics():
+    ident = GroupAlgebraElement.identity(3)
+    zero = GroupAlgebraElement.zero(3)
     assert ident - ident == zero
     assert (ident + ident) == ident.scale(2)
     assert ident.scale(0) == zero
     assert zero.is_zero and not ident.is_zero
-    assert ident.entry(0, 0) == GR_ONE and ident.entry(0, 1) == GR_ZERO
+    assert ident.coeffs == {(0, 1, 2): GR_ONE}
     assert zero.first_nonzero() is None
     assert zero.max_abs_entry() == (GR_ZERO, None)
     with pytest.raises(ValueError):
-        RegRepMatrix.identity(3) @ RegRepMatrix.identity(4)
+        GroupAlgebraElement.identity(3) @ GroupAlgebraElement.identity(4)
     with pytest.raises(ValueError):
-        RegRepMatrix.identity(3) + RegRepMatrix.identity(4)
+        GroupAlgebraElement.identity(3) + GroupAlgebraElement.identity(4)
+
+
+def test_positions_are_regular_representation_coordinates():
+    # row 0 of rep(R) is the identity's row, holding R's coefficient in the
+    # column of R in the lexicographic order of itertools.permutations
+    for n in (1, 2, 3, 4, 5):
+        for col, r in enumerate(itertools.permutations(range(n))):
+            element = regular_rep(r, n).scale(GR_I)
+            assert element.first_nonzero() == (0, col, GR_I)
+            assert element.max_abs_entry() == (GR_I, (0, col))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +192,7 @@ def test_yang_op_validates_input():
     with pytest.raises(ValueError):
         yang_op(3, 1, 1, 3)
     with pytest.raises(ValueError):
-        yang_op(1, 1, 1, MAX_PARTICLES_EXACT + 1)
+        yang_op(1, 1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +231,72 @@ def test_defect_nonzero_at_n4():
     assert sign_projection(defect.matrix).is_zero
 
 
+def _embed(p, i, n):
+    """Permutation p of the slots i-1, i, i+1 (site i, 1-based) as an element of S_n."""
+    return tuple(range(i - 1)) + tuple(i - 1 + a for a in p) + tuple(range(i + 2, n))
+
+
+@functools.lru_cache(maxsize=1)
+def _closed_form_coefficient():
+    """Derive the defect symbolically on S_3 and return its T_1 coefficient c.
+
+    Over symbolic (u, v, lam), independently of the module's Gaussian
+    rationals, D = c (T_1 - T_2) with
+        c = i lam^2 (u^2 + uv + v^2) / ((lam u + i)(lam v + i)(lam (u + v) + i)).
+    u^2 + uv + v^2 > 0 unless u = v = 0, so D is nonzero even at u + v = 0.
+    """
+    import sympy as sp
+    u, v, lam = sp.symbols("u v lam", real=True)
+    e, t1, t2 = (0, 1, 2), (1, 0, 2), (0, 2, 1)
+
+    def y(t, x):
+        denom = sp.I * x - 1 / lam
+        return {e: sp.I * x / denom, t: -1 / (lam * denom)}
+
+    def mul(a, b):
+        out = {}
+        for p, x in a.items():
+            for q, z in b.items():
+                r = tuple(p[q[k]] for k in range(3))
+                out[r] = out.get(r, 0) + x * z
+        return out
+
+    left = mul(mul(y(t1, v), y(t2, u + v)), y(t1, u))
+    right = mul(mul(y(t2, u), y(t1, v + u)), y(t2, v))
+    defect = {r: sp.simplify(left.get(r, 0) - right.get(r, 0)) for r in set(left) | set(right)}
+    c = (sp.I * lam ** 2 * (u ** 2 + u * v + v ** 2)
+         / ((lam * u + sp.I) * (lam * v + sp.I) * (lam * (u + v) + sp.I)))
+    assert sp.simplify(defect.pop(t1) - c) == 0
+    assert sp.simplify(defect.pop(t2) + c) == 0
+    assert all(value == 0 for value in defect.values())
+    assert sp.expand_complex(c.subs({u: 1, v: 2, lam: 1})) == sp.Rational(7, 10)
+    return lambda *args: sp.expand_complex(c.subs(dict(zip((u, v, lam), args))))
+
+
+@given(rationals, rationals, rationals.filter(lambda x: x != 0), st.integers(3, 8))
+@settings(max_examples=25, deadline=None)
+def test_defect_equals_the_sympy_closed_form(u, v, lam, n):
+    value = _closed_form_coefficient()(u, v, lam)
+    re, im = value.as_real_imag()
+    c = GaussianRational(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+    for i in range(1, n - 1):
+        coeffs = yb_defect(i, u, v, lam, n).matrix.coeffs
+        t_i, t_next = _embed((1, 0, 2), i, n), _embed((0, 2, 1), i, n)
+        assert coeffs == ({} if c.is_zero else {t_i: c, t_next: -c})
+
+
+def test_defect_beyond_six_particles_equals_the_n3_defect():
+    u, v, lam = Fraction(1, 3), Fraction(-5, 4), Fraction(7, 2)
+    d3 = yb_defect(1, u, v, lam, 3)
+    for n in (7, 8):
+        for i in range(1, n - 1):
+            defect = yb_defect(i, u, v, lam, n)
+            assert defect.max_entry == d3.max_entry
+            assert defect.matrix.coeffs == {_embed(p, i, n): a
+                                            for p, a in d3.matrix.coeffs.items()}
+            assert delta_control_defect(i, u, v, 1 / lam, n).is_zero
+
+
 def test_defect_site_range():
     with pytest.raises(ValueError):
         yb_defect(2, 1, 2, 1, 3)
@@ -235,9 +312,19 @@ def test_delta_variant_is_plus_plus():
     assert delta_variant() == (1, 1)
 
 
+def test_every_delta_sign_variant_passes_both_exact_checks():
+    # so (1, 1) is a convention: neither exact check can single it out
+    for variant in itertools.product((1, -1), repeat=2):
+        for (u, v, c, n) in ((1, 2, 1, 3), (Fraction(2, 3), Fraction(-1, 5), Fraction(9, 4), 4)):
+            y = lambda site, arg: delta_yang_op(site, arg, c, n, variant=variant)
+            assert check_delta_unitarity(1, u, c, n, variant=variant)
+            assert (y(1, v) @ y(2, u + v) @ y(1, u)
+                    - y(2, u) @ y(1, v + u) @ y(2, v)).is_zero
+
+
 def test_delta_operator_at_zero_is_minus_identity():
     op = delta_yang_op(1, 0, 1, 3)
-    assert op == RegRepMatrix.identity(3).scale(-1)
+    assert op == GroupAlgebraElement.identity(3).scale(-1)
 
 
 def test_delta_control_defect_is_exactly_zero():
