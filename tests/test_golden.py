@@ -1,13 +1,16 @@
-"""Byte-identity gate for the exact Yang-Baxter checks.
+"""Byte-identity gate for the CLI records and the exact Yang-Baxter checks.
 
-The records under tests/golden/ were written by the N! x N! sparse-matrix
-implementation of the Yang operators.  The group-algebra implementation must
-reproduce every one of them byte for byte: the CLI records of the reference
-invocations, and a table of defect summaries (largest entry and its
-position, witness, both projections) over seeded triples at N = 3..5.  The
-position of the largest entry breaks ties between equal-modulus entries by
-the order in which products first produce them, so the table also pins that
-order.
+The records under tests/golden/ pin the output of the reference
+invocations: the README examples of every solver family (ring roots, the
+duality, the ground-state scan as CSV, two-body, the Gaudin check, the
+regularized bound state) and the exact checks.  The yb-check and
+delta-control records were written by the N! x N! sparse-matrix
+implementation of the Yang operators, which the group-algebra
+implementation reproduces byte for byte, together with a table of defect
+summaries (largest entry and its position, witness, both projections) over
+seeded triples at N = 3..5.  The position of the largest entry breaks ties
+between equal-modulus entries by the order in which products first produce
+them, so the table also pins that order.
 
 To rewrite the records after a deliberate change of output:
 
@@ -33,7 +36,21 @@ CLI_CASES = {
     "yb_check_degenerate": ["yb-check", "--n", "4", "--i", "2", "--u", "3/2", "--v=-3/2",
                             "--lambda=-2/5"],
     "delta_control_n3": ["delta-control", "--n", "3", "--u", "1", "--v", "2", "--c", "1"],
+    "bethe_solve_n4": ["bethe-solve", "--n", "4", "--box", "10", "--lambda", "1"],
+    "ll_solve_n4": ["ll-solve", "--n", "4", "--box", "10", "--c", "1"],
+    "duality_n3": ["duality", "--n", "3", "--box", "10", "--lambda", "1"],
+    "gs_scan_csv": ["gs-scan", "--rho", "1", "--lambda", "1", "--sizes", "4,8,16",
+                    "--format", "csv"],
+    "two_body_odd": ["two-body", "--parity", "odd", "--k", "1.5", "--lambda", "0.5",
+                     "--x", "0.5,1.5"],
+    "gaudin_check_n3": ["gaudin-check", "--n", "3", "--draws", "5", "--seed", "11"],
+    "reg_bound_state": ["reg-bound-state", "--lambda", "-0.5"],
 }
+
+
+def _golden(name: str) -> Path:
+    suffix = "csv" if "csv" in CLI_CASES[name] else "json"
+    return GOLDEN / f"{name}.{suffix}"
 
 
 def _triple_table() -> str:
@@ -64,8 +81,8 @@ def _cli_record(argv, path: Path) -> bytes:
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_record_is_byte_identical(name, tmp_path):
-    out = _cli_record(CLI_CASES[name], tmp_path / "out.json")
-    assert out == (GOLDEN / f"{name}.json").read_bytes()
+    out = _cli_record(CLI_CASES[name], tmp_path / "out")
+    assert out == _golden(name).read_bytes()
 
 
 def test_triple_table_is_byte_identical():
@@ -75,5 +92,5 @@ def test_triple_table_is_byte_identical():
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CLI_CASES.items():
-        _cli_record(argv, GOLDEN / f"{name}.json")
+        _cli_record(argv, _golden(name))
     (GOLDEN / "yb_triples.json").write_text(_triple_table())
