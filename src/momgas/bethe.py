@@ -32,8 +32,14 @@ the boson-gas equations at c = 1/lam with periodic boundary conditions
 
     k_j L = 2 pi I_j - sum_l 2 arctan((k_j - k_l)/c).
 
-Both are solved by a damped Newton iteration with the analytic Jacobian,
-which is strictly diagonally dominant for repulsive couplings.
+Both are solved by one damped Newton iteration with the analytic Jacobian,
+which is strictly diagonally dominant for repulsive couplings; each model
+codes its own theta, so `duality_check` compares two independent codings of
+the same equation.
+
+Schroedinger probe.  `schrodinger_residual` builds the `gaudin_wavefunction`
+state and sums that object's own table of amplitudes and momentum rows in
+mpmath precision, so the probe checks the eigenfunction the library returns.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ import mpmath as mp
 import numpy as np
 
 from .twobody import bc_residual
+from .yang_baxter import perm_sign
 
 __all__ = [
     "MAX_PARTICLES_ENUMERATED", "ConvergenceError",
@@ -72,21 +79,9 @@ def parity_rule_eta(n: int) -> float:
     return math.pi if n % 2 else 0.0
 
 
-def _perm_sign(p) -> int:
-    sign = 1
-    for a in range(len(p)):
-        for b in range(a + 1, len(p)):
-            if p[a] > p[b]:
-                sign = -sign
-    return sign
-
-
-def _check_distinct(momenta) -> None:
-    k = list(momenta)
-    for a in range(len(k)):
-        for b in range(a + 1, len(k)):
-            if k[a] == k[b]:
-                raise ValueError("momenta must be pairwise distinct (the determinant vanishes)")
+def _require_distinct(values, message: str) -> None:
+    if len(set(values)) != len(values):
+        raise ValueError(message)
 
 
 def gaudin_amplitudes(momenta, lam: float) -> dict[tuple[int, ...], complex]:
@@ -101,10 +96,10 @@ def gaudin_amplitudes(momenta, lam: float) -> dict[tuple[int, ...], complex]:
         raise ValueError("need at least one momentum")
     if n > MAX_PARTICLES_ENUMERATED:
         raise ValueError(f"N = {n} exceeds the N! enumeration guard ({MAX_PARTICLES_ENUMERATED})")
-    _check_distinct(k)
+    _require_distinct(k, "momenta must be pairwise distinct (the determinant vanishes)")
     out = {}
     for p in itertools.permutations(range(n)):
-        a = complex(_perm_sign(p))
+        a = complex(perm_sign(p))
         for l in range(n):
             for j in range(l + 1, n):
                 a *= 1j * lam * (k[p[j]] - k[p[l]]) + 1.0
@@ -117,13 +112,11 @@ class BetheWavefunction:
     """A Bethe-ansatz wavefunction: momenta plus permutation amplitudes.
 
     `statistics` is "fermion" (antisymmetric extension off the wedge) or
-    "boson" (symmetric extension).  `lam` records the coupling used to build
-    Gaudin amplitudes, None for hand-built amplitude maps.
+    "boson" (symmetric extension).
     """
     momenta: tuple[float, ...]
     amplitudes: dict[tuple[int, ...], complex]
     statistics: str = "fermion"
-    lam: float | None = None
     _perms: list[tuple[int, ...]] = field(init=False, repr=False)
     _amps: np.ndarray = field(init=False, repr=False)
     _kmat: np.ndarray = field(init=False, repr=False)
@@ -155,17 +148,15 @@ class BetheWavefunction:
     def _sector_eval(self, x, tie=None) -> tuple[complex, np.ndarray]:
         # tie = (j, k, side): side=+1 evaluates on x_j = x_k + 0+, i.e. k precedes j
         n = self.n
-        if tie is None:
-            rank = {m: 0 for m in range(n)}
-        else:
+        rank = {m: 0 for m in range(n)}
+        if tie is not None:
             j, k, side = tie
-            rank = {m: 0 for m in range(n)}
             rank[j], rank[k] = (1, 0) if side > 0 else (0, 1)
         order = sorted(range(n), key=lambda m: (x[m], rank[m]))
         y = np.array([x[m] for m in order], dtype=float)
         value, grad_y = self._wedge(y)
         if self.statistics == "fermion":
-            s = _perm_sign(tuple(order))
+            s = perm_sign(order)
             value = s * value
             grad_y = s * grad_y
         slot = {m: a for a, m in enumerate(order)}
@@ -185,20 +176,18 @@ class BetheWavefunction:
         return self._sector_eval([float(v) for v in x], tie=(j, k, side))
 
 
-def gaudin_wavefunction(momenta, lam: float, normalize: bool = True) -> BetheWavefunction:
+def gaudin_wavefunction(momenta, lam: float) -> BetheWavefunction:
     """Fermion eigenfunction with Gaudin amplitudes at coupling lam.
 
-    With normalize=True (default) all amplitudes are divided by the identity
-    amplitude; every |A_P| is then exactly 1, which keeps float evaluation
-    well conditioned for large lam.  This changes the wavefunction only by
-    a global constant.
+    All amplitudes are divided by the identity amplitude; every |A_P| is
+    then exactly 1, which keeps float evaluation well conditioned for large
+    lam.  This changes the wavefunction only by a global constant.
     """
-    amps = gaudin_amplitudes(momenta, lam)
-    if normalize:
-        a0 = amps[tuple(range(len(tuple(momenta))))]
-        amps = {p: a / a0 for p, a in amps.items()}
-    return BetheWavefunction(momenta=tuple(float(v) for v in momenta),
-                             amplitudes=amps, statistics="fermion", lam=lam)
+    k = tuple(float(v) for v in momenta)
+    amps = gaudin_amplitudes(k, lam)
+    a0 = amps[tuple(range(len(k)))]
+    return BetheWavefunction(momenta=k, amplitudes={p: a / a0 for p, a in amps.items()},
+                             statistics="fermion")
 
 
 def free_boson_wavefunction(momenta) -> BetheWavefunction:
@@ -209,32 +198,25 @@ def free_boson_wavefunction(momenta) -> BetheWavefunction:
     n = len(tuple(momenta))
     amps = {p: 1.0 + 0j for p in itertools.permutations(range(n))}
     return BetheWavefunction(momenta=tuple(float(v) for v in momenta),
-                             amplitudes=amps, statistics="boson", lam=None)
+                             amplitudes=amps, statistics="boson")
 
 
-def _require_distinct_coords(x) -> None:
-    for a in range(len(x)):
-        for b in range(a + 1, len(x)):
-            if x[a] == x[b]:
-                raise ValueError("coordinates coincide: the point sits on a sector boundary")
+def _checked_coords(wf: BetheWavefunction, x) -> list[float]:
+    xs = [float(v) for v in x]
+    if len(xs) != wf.n:
+        raise ValueError("coordinate count does not match the wavefunction")
+    _require_distinct(xs, "coordinates coincide: the point sits on a sector boundary")
+    return xs
 
 
 def eval_wavefunction(wf: BetheWavefunction, x) -> complex:
     """Evaluate wf at pairwise-distinct coordinates x (any sector)."""
-    xs = [float(v) for v in x]
-    if len(xs) != wf.n:
-        raise ValueError("coordinate count does not match the wavefunction")
-    _require_distinct_coords(xs)
-    return wf.value(xs)
+    return wf.value(_checked_coords(wf, x))
 
 
 def eval_gradient(wf: BetheWavefunction, x) -> np.ndarray:
     """Analytic gradient of wf at pairwise-distinct coordinates x."""
-    xs = [float(v) for v in x]
-    if len(xs) != wf.n:
-        raise ValueError("coordinate count does not match the wavefunction")
-    _require_distinct_coords(xs)
-    return wf.gradient(xs)
+    return wf.gradient(_checked_coords(wf, x))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +249,7 @@ def ground_state_quantum_numbers(n: int) -> tuple[float, ...]:
 
 def _validate_quantum_numbers(qn) -> np.ndarray:
     I = np.asarray([float(v) for v in qn], dtype=float)
-    if len(set(I.tolist())) != len(I):
-        raise ValueError("quantum numbers must be distinct")
+    _require_distinct(I.tolist(), "quantum numbers must be distinct")
     if not np.all(np.diff(I) > 0):
         raise ValueError("quantum numbers must be strictly increasing")
     return I
@@ -334,6 +315,23 @@ def _validate_eta(eta: float) -> float:
     return float(eta)
 
 
+def _solve_ring(n: int, L: float, eta: float, delta: float, quantum_numbers,
+                theta, theta_prime, tol: float, max_iter: int,
+                model: str, coupling: float) -> BetheState:
+    # shared by both models: validate, solve k_j L = 2 pi I_j + delta -
+    # sum_l theta(k_j - k_l), and package the ordered roots
+    if n < 1:
+        raise ValueError(f"need at least one particle, got N = {n}")
+    if L <= 0:
+        raise ValueError("box length must be positive")
+    I = _validate_quantum_numbers(
+        ground_state_quantum_numbers(n) if quantum_numbers is None else quantum_numbers)
+    if len(I) != n:
+        raise ValueError(f"need exactly N = {n} quantum numbers, got {len(I)}")
+    k = _newton_log_form(I, L, delta, theta, theta_prime, tol, max_iter)
+    return _finish_state(k, L, eta, I, model, coupling)
+
+
 def solve_bethe(n: int, L: float, lam: float, quantum_numbers=None,
                 eta: float | None = None, tol: float = 1e-13,
                 max_iter: int = 200) -> BetheState:
@@ -343,23 +341,17 @@ def solve_bethe(n: int, L: float, lam: float, quantum_numbers=None,
     guarantees real roots).  `eta` defaults to the parity rule; quantum
     numbers default to the symmetric ground-state block.
     """
-    if L <= 0:
-        raise ValueError("box length must be positive")
     if lam <= 0:
         raise ValueError(
             "lam must be positive: the attractive sector (lam <= 0) has complex "
             "string roots and is not supported by this solver"
         )
     eta = parity_rule_eta(n) if eta is None else _validate_eta(eta)
-    I = _validate_quantum_numbers(
-        ground_state_quantum_numbers(n) if quantum_numbers is None else quantum_numbers)
-    if len(I) != n:
-        raise ValueError("need exactly N quantum numbers")
     delta = eta - (math.pi if n % 2 else 0.0)
     theta = lambda u: 2.0 * np.arctan(lam * u)
     theta_prime = lambda u: 2.0 * lam / (1.0 + (lam * u) ** 2)
-    k = _newton_log_form(I, L, delta, theta, theta_prime, tol, max_iter)
-    return _finish_state(k, L, eta, I, "fermion", lam)
+    return _solve_ring(n, L, eta, delta, quantum_numbers, theta, theta_prime,
+                       tol, max_iter, "fermion", lam)
 
 
 def solve_lieb_liniger(n: int, L: float, c: float, eta: float = 0.0,
@@ -370,19 +362,13 @@ def solve_lieb_liniger(n: int, L: float, c: float, eta: float = 0.0,
     Same logarithmic form with theta(u) = 2 arctan(u/c) and branch offset
     eta (periodic rings use eta = 0, the convention the duality refers to).
     """
-    if L <= 0:
-        raise ValueError("box length must be positive")
     if c <= 0:
         raise ValueError("c must be positive (repulsive delta gas)")
     eta = _validate_eta(eta)
-    I = _validate_quantum_numbers(
-        ground_state_quantum_numbers(n) if quantum_numbers is None else quantum_numbers)
-    if len(I) != n:
-        raise ValueError("need exactly N quantum numbers")
     theta = lambda u: 2.0 * np.arctan(u / c)
     theta_prime = lambda u: 2.0 * c / (c * c + u * u)
-    k = _newton_log_form(I, L, eta, theta, theta_prime, tol, max_iter)
-    return _finish_state(k, L, eta, I, "boson", c)
+    return _solve_ring(n, L, eta, eta, quantum_numbers, theta, theta_prime,
+                       tol, max_iter, "boson", c)
 
 
 def bethe_residuals(state: BetheState) -> np.ndarray:
@@ -472,61 +458,56 @@ def ground_state_scan(rho: float, lam: float, sizes) -> list[dict]:
 # diagnostics: residual scans used by the CLI and the acceptance suite
 
 
+def _mp_wedge_values(wf: BetheWavefunction, points) -> list:
+    """The wedge sum sum_P A_P exp(i sum_j k_Pj y_j) of wf at each ordered
+    point y, in the current mpmath precision, from wf's own table of
+    amplitudes and momentum rows (floats convert to mpmath exactly)."""
+    table = [(mp.mpc(complex(a)), [mp.mpf(float(v)) for v in row])
+             for a, row in zip(wf._amps, wf._kmat)]
+    values = []
+    for y in points:
+        total = mp.mpc(0)
+        for a, row in table:
+            phase = mp.fsum(kv * yv for kv, yv in zip(row, y))
+            total += a * mp.exp(mp.mpc(0, 1) * phase)
+        values.append(total)
+    return values
+
+
 def schrodinger_residual(momenta, lam: float, x, h: float = 1e-6,
                          dps: int = 30) -> float:
     """Relative free-Schroedinger residual of the Gaudin eigenfunction at x,
     probed with central second differences of step h.
 
-    The Laplacian probe is evaluated in mpmath working precision `dps`
+    The probe evaluates the state `gaudin_wavefunction(momenta, lam)`
+    returns, summing its plane-wave table in mpmath working precision `dps`
     (float64 cannot resolve a 1e-6 second-difference step below ~1e-3
     relative error).  Returns
     |sum_m D2_m chi + E chi| / (sum_m |D2_m chi| + |E chi|),
     which is ~h^2 * k^2 / 12 for a true eigenfunction.
     """
-    xs = [float(v) for v in x]
-    n = len(xs)
-    if len(tuple(momenta)) != n:
-        raise ValueError("coordinate count does not match the momenta")
-    _require_distinct_coords(xs)
+    wf = gaudin_wavefunction(momenta, lam)
+    xs = _checked_coords(wf, x)
+    n = wf.n
     if n > 1:
         gap = min(abs(xs[a] - xs[b]) for a in range(n) for b in range(a + 1, n))
         if gap <= 4 * h:
             raise ValueError("coordinates too close for the finite-difference step")
-    order = sorted(range(n), key=lambda m: xs[m])
     with mp.workdps(dps):
-        k = [mp.mpf(float(v)) for v in momenta]
-        lam_mp = mp.mpf(float(lam))
-        perms = list(itertools.permutations(range(n)))
-        amps = []
-        for p in perms:
-            a = mp.mpc(1)
-            for l in range(n):
-                for j in range(l + 1, n):
-                    a *= mp.mpc(1, lam_mp * (k[p[j]] - k[p[l]]))
-            amps.append(a)
-        a0 = amps[perms.index(tuple(range(n)))]
-        amps = [a / a0 for a in amps]
-
-        y0 = [mp.mpf(xs[m]) for m in order]
-
-        def wedge(y):
-            total = mp.mpc(0)
-            for a, p in zip(amps, perms):
-                phase = mp.mpc(0)
-                for slot in range(n):
-                    phase += k[p[slot]] * y[slot]
-                total += a * mp.exp(mp.mpc(0, 1) * phase)
-            return total
-
         hh = mp.mpf(h)
-        e_tot = sum(v * v for v in k)
-        chi0 = wedge(y0)
+        y0 = [mp.mpf(v) for v in sorted(xs)]
+        points = [y0]
+        for slot in range(n):
+            for shift in (hh, -hh):
+                y = list(y0)
+                y[slot] += shift
+                points.append(y)
+        chi0, *shifted = _mp_wedge_values(wf, points)
+        e_tot = mp.fsum(mp.mpf(v) ** 2 for v in wf.momenta)
         num = e_tot * chi0
         denom = abs(e_tot * chi0)
         for slot in range(n):
-            yp = list(y0); yp[slot] += hh
-            ym = list(y0); ym[slot] -= hh
-            d2 = (wedge(yp) - 2 * chi0 + wedge(ym)) / (hh * hh)
+            d2 = (shifted[2 * slot] - 2 * chi0 + shifted[2 * slot + 1]) / (hh * hh)
             num += d2
             denom += abs(d2)
         return float(abs(num) / denom)
@@ -546,6 +527,8 @@ def gaudin_residual_scan(n: int, draws: int, seed: int = 0,
         raise ValueError("need at least one particle")
     if n > MAX_PARTICLES_ENUMERATED:
         raise ValueError(f"N = {n} exceeds the N! enumeration guard ({MAX_PARTICLES_ENUMERATED})")
+    if draws < 1:
+        raise ValueError(f"need at least one draw, got draws = {draws}")
     rng = random.Random(seed)
 
     def distinct_draw(count, lo, hi, min_gap):

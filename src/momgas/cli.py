@@ -207,47 +207,34 @@ def _cmd_bound_state(args):
     return results, ["lam", "exists", "energy", "kappa"], [row], 0
 
 
-def _solve_rows(state, residuals):
-    rows = []
-    for j, (qn, root, res) in enumerate(zip(state.quantum_numbers, state.momenta,
-                                            residuals)):
-        rows.append({"j": j, "quantum_number": qn, "root": root, "residual": res})
-    return rows
+def _solve_record(state):
+    residuals = bethe_residuals(state)
+    results = {
+        "momenta": list(state.momenta),
+        "quantum_numbers": list(state.quantum_numbers),
+        "boundary_phase": state.boundary_phase,
+        "energy": state.energy,
+        "total_momentum": state.total_momentum,
+        "max_residual": float(residuals.max()),
+    }
+    rows = [{"j": j, "quantum_number": qn, "root": root, "residual": res}
+            for j, (qn, root, res) in enumerate(zip(state.quantum_numbers, state.momenta,
+                                                    residuals.tolist()))]
+    return results, ["j", "quantum_number", "root", "residual"], rows, 0
 
 
 def _cmd_bethe_solve(args):
     eta = None if args.eta is None else _eta_value(args.eta)
-    state = solve_bethe(args.n, args.box, args.lam, quantum_numbers=args.quantum_numbers,
-                        eta=eta, tol=args.tol, max_iter=args.max_iter)
-    residuals = bethe_residuals(state)
-    results = {
-        "momenta": list(state.momenta),
-        "quantum_numbers": list(state.quantum_numbers),
-        "boundary_phase": state.boundary_phase,
-        "energy": state.energy,
-        "total_momentum": state.total_momentum,
-        "max_residual": float(residuals.max()),
-    }
-    return results, ["j", "quantum_number", "root", "residual"], \
-        _solve_rows(state, residuals.tolist()), 0
+    return _solve_record(solve_bethe(args.n, args.box, args.lam,
+                                     quantum_numbers=args.quantum_numbers, eta=eta,
+                                     tol=args.tol, max_iter=args.max_iter))
 
 
 def _cmd_ll_solve(args):
-    state = solve_lieb_liniger(args.n, args.box, args.c,
-                               eta=_eta_value(args.eta),
-                               quantum_numbers=args.quantum_numbers,
-                               tol=args.tol, max_iter=args.max_iter)
-    residuals = bethe_residuals(state)
-    results = {
-        "momenta": list(state.momenta),
-        "quantum_numbers": list(state.quantum_numbers),
-        "boundary_phase": state.boundary_phase,
-        "energy": state.energy,
-        "total_momentum": state.total_momentum,
-        "max_residual": float(residuals.max()),
-    }
-    return results, ["j", "quantum_number", "root", "residual"], \
-        _solve_rows(state, residuals.tolist()), 0
+    return _solve_record(solve_lieb_liniger(args.n, args.box, args.c,
+                                            eta=_eta_value(args.eta),
+                                            quantum_numbers=args.quantum_numbers,
+                                            tol=args.tol, max_iter=args.max_iter))
 
 
 def _cmd_duality(args):
@@ -557,3 +544,7 @@ def main(argv=None) -> int:
 
 
 run = main
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,12 +3,13 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from momgas.bethe import (
-    MAX_PARTICLES_ENUMERATED, BetheWavefunction, ConvergenceError,
+    MAX_PARTICLES_ENUMERATED, BetheWavefunction, ConvergenceError, _mp_wedge_values,
     bethe_residuals, duality_check, eval_gradient, eval_wavefunction,
     free_boson_wavefunction, gaudin_amplitudes, gaudin_residual_scan,
     gaudin_wavefunction, ground_state_quantum_numbers, ground_state_scan,
@@ -79,8 +80,8 @@ def test_normalized_amplitudes_are_unimodular():
     for a in wf.amplitudes.values():
         assert abs(abs(a) - 1.0) < 1e-14
     assert wf.amplitudes[(0, 1, 2)] == 1.0 + 0j
-    raw = gaudin_wavefunction([-2.1, 0.3, 1.7], 7.5, normalize=False)
-    ratios = {p: raw.amplitudes[p] / wf.amplitudes[p] for p in wf.amplitudes}
+    raw = gaudin_amplitudes([-2.1, 0.3, 1.7], 7.5)
+    ratios = {p: raw[p] / wf.amplitudes[p] for p in wf.amplitudes}
     first = ratios[(0, 1, 2)]
     assert all(abs(r - first) < 1e-9 * abs(first) for r in ratios.values())
 
@@ -206,6 +207,30 @@ def test_residual_scan_guards():
         gaudin_residual_scan(0, 1)
     with pytest.raises(ValueError):
         gaudin_residual_scan(MAX_PARTICLES_ENUMERATED + 1, 1)
+
+
+@pytest.mark.parametrize("draws", [0, -1])
+def test_residual_scan_needs_a_draw(draws):
+    with pytest.raises(ValueError, match="draws"):
+        gaudin_residual_scan(3, draws)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_probe_sums_the_library_wavefunction(n):
+    # the mpmath plane-wave sum behind schrodinger_residual is the function
+    # eval_wavefunction evaluates, sgn(P) included; the residual ratio alone
+    # cannot tell amplitude sets apart, since any fixed set of coefficients
+    # gives a free eigenfunction inside the wedge
+    import random
+    rng = random.Random(100 + n)
+    momenta = [-1.3, 0.2, 1.9, -2.4, 0.9][:n]
+    lam = 0.8
+    wf = gaudin_wavefunction(momenta, lam)
+    x = sorted(rng.uniform(0.0, 5.0) for _ in range(n))
+    with mp.workdps(30):
+        (probe,) = _mp_wedge_values(wf, [[mp.mpf(v) for v in x]])
+    value = eval_wavefunction(wf, x)
+    assert abs(complex(probe) - value) <= 1e-12 * abs(value)
 
 
 def test_schrodinger_residual_validates_geometry():

@@ -4,9 +4,13 @@ output plumbing."""
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import momgas
 from momgas import __version__
 from momgas.cli import main, run
 
@@ -52,6 +56,19 @@ def test_subcommand_record_shape(capsys, command):
 
 def test_run_is_main():
     assert run is main
+
+
+def test_module_entry_point_prints_the_record(capsys):
+    assert main(["coleman", "--g", "1"]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(momgas.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("MOMGAS_OUTPUT", None)
+    proc = subprocess.run([sys.executable, "-m", "momgas.cli", "coleman", "--g", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +180,28 @@ def test_exit_1_on_malformed_number(capsys):
 
 def test_exit_1_on_out_of_guard_n(capsys):
     assert main(["gaudin-check", "--n", "9", "--draws", "1"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bethe-solve", "--box", "10", "--lambda", "1"],
+    ["ll-solve", "--box", "10", "--c", "1"],
+    ["duality", "--box", "10", "--lambda", "1"],
+])
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_exit_1_names_a_particle_number_below_one(capsys, argv, n):
+    assert main(argv + ["--n", n]) == 1
+    assert f"N = {n}" in capsys.readouterr().err
+
+
+def test_exit_1_names_a_zero_size_in_gs_scan(capsys):
+    assert main(["gs-scan", "--rho", "1", "--lambda", "1", "--sizes", "0,4"]) == 1
+    assert "N = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("draws", ["0", "-1"])
+def test_exit_1_names_a_draw_count_below_one(capsys, draws):
+    assert main(["gaudin-check", "--n", "3", "--draws", draws]) == 1
+    assert f"draws = {draws}" in capsys.readouterr().err
 
 
 def test_exact_checks_have_no_particle_number_guard(capsys):
