@@ -3,7 +3,8 @@
 The records under tests/golden/ pin the output of the reference
 invocations: the README examples of every solver family (ring roots, the
 duality, the ground-state scan as CSV, two-body, the Gaudin check, the
-regularized bound state) and the exact checks.  The yb-check and
+regularized bound state), the exact checks, every other subcommand, and the
+CSV projection of every single-row subcommand.  The yb-check and
 delta-control records were written by the N! x N! sparse-matrix
 implementation of the Yang operators, which the group-algebra
 implementation reproduces byte for byte, together with a table of defect
@@ -45,6 +46,26 @@ CLI_CASES = {
                      "--x", "0.5,1.5"],
     "gaudin_check_n3": ["gaudin-check", "--n", "3", "--draws", "5", "--seed", "11"],
     "reg_bound_state": ["reg-bound-state", "--lambda", "-0.5"],
+    "bound_state": ["bound-state", "--lambda", "-1"],
+    "bound_state_none": ["bound-state", "--lambda", "0.5"],
+    "vertex_scan": ["vertex-scan"],
+    "dispersion_scan": ["dispersion-scan"],
+    "coupling_maps": ["coupling-maps", "--g", "2.0", "--beta", "1.0"],
+    "coupling_maps_g_b": ["coupling-maps", "--g", "2.0", "--beta", "1.0", "--g-b", "-3"],
+    "coleman": ["coleman", "--g", "2.5"],
+    "reg_integral": ["reg-integral", "--lambda", "-1", "--e-abs", "0.25"],
+    # the CSV projection of every single-row subcommand
+    "two_body_csv": ["two-body", "--parity", "odd", "--k", "1.5", "--lambda", "0.5",
+                     "--format", "csv"],
+    "bound_state_csv": ["bound-state", "--lambda", "-1", "--format", "csv"],
+    "bound_state_none_csv": ["bound-state", "--lambda", "0.5", "--format", "csv"],
+    "yb_check_csv": ["yb-check", "--n", "5", "--i", "2", "--u", "1/3", "--v=-5/4",
+                     "--lambda", "7/2", "--format", "csv"],
+    "delta_control_csv": ["delta-control", "--n", "3", "--u", "1", "--v", "2", "--c", "1",
+                          "--format", "csv"],
+    "coupling_maps_csv": ["coupling-maps", "--g", "2.0", "--beta", "1.0", "--format", "csv"],
+    "coleman_csv": ["coleman", "--g", "2.5", "--format", "csv"],
+    "reg_bound_state_csv": ["reg-bound-state", "--lambda", "-0.5", "--format", "csv"],
 }
 
 
