@@ -324,6 +324,8 @@ def _solve_ring(n: int, L: float, eta: float, delta: float, quantum_numbers,
         raise ValueError(f"need at least one particle, got N = {n}")
     if L <= 0:
         raise ValueError("box length must be positive")
+    if max_iter < 1:
+        raise ValueError(f"need at least one Newton step, got max_iter = {max_iter}")
     I = _validate_quantum_numbers(
         ground_state_quantum_numbers(n) if quantum_numbers is None else quantum_numbers)
     if len(I) != n:
@@ -437,6 +439,8 @@ def ground_state_scan(rho: float, lam: float, sizes) -> list[dict]:
     (Cauchy) behaviour behind the thermodynamic-limit claim.
     """
     sizes = [int(s) for s in sizes]
+    if not sizes:
+        raise ValueError("need at least one system size, got sizes = []")
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
         raise ValueError("sizes must be strictly increasing")
     if rho <= 0:

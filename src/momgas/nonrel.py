@@ -47,26 +47,15 @@ def _check_mass_speed(m: float, c: float) -> None:
 
 @dataclass(frozen=True)
 class RelativisticParams:
-    """Parameter bundle of the relativistic model.
-
-    E0 is the reference energy subtracted in the non-relativistic limit and
-    defaults to the rest energy mc^2; alpha defaults to the mass
-    identification (mc)^2 of the cosine potential.
-    """
+    """Parameter bundle of the relativistic model."""
     m: float
     c: float
-    E0: float | None = None
     g: float | None = None
-    alpha: float | None = None
     beta: float | None = None
     gB: float | None = None
 
     def __post_init__(self):
         _check_mass_speed(self.m, self.c)
-        if self.E0 is None:
-            object.__setattr__(self, "E0", self.m * self.c * self.c)
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", (self.m * self.c) ** 2)
 
     @property
     def mc(self) -> float:

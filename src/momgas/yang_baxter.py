@@ -319,12 +319,15 @@ def yang_op(i: int, u, lam, n: int) -> YangOperator:
     return YangOperator(n=n, site=i, u=u, inv_lam=inv_lam, matrix=matrix)
 
 
+def _is_unitary(y, u, n: int) -> bool:
+    # Y(-u) Y(u) == identity for the one-site operator builder y(arg)
+    u = _fraction(u)
+    return (y(-u) @ y(u)) == GroupAlgebraElement.identity(n)
+
+
 def check_unitarity(i: int, u, lam, n: int) -> bool:
     """Exact truth of Y_i(-u) Y_i(u) = identity."""
-    u = _fraction(u)
-    left = yang_op(i, -u, lam, n).matrix
-    right = yang_op(i, u, lam, n).matrix
-    return (left @ right) == GroupAlgebraElement.identity(n)
+    return _is_unitary(lambda arg: yang_op(i, arg, lam, n).matrix, u, n)
 
 
 def trivial_projection(m: GroupAlgebraElement) -> GaussianRational:
@@ -359,21 +362,28 @@ class DefectResult:
         return self.matrix.first_nonzero()
 
 
+def _triple_defect(y, i: int, u, v, n: int, name: str) -> GroupAlgebraElement:
+    # Y_i(v) Y_{i+1}(u+v) Y_i(u) - Y_{i+1}(u) Y_i(v+u) Y_{i+1}(v) for the
+    # operator builder y(site, arg); the product order fixes the order in
+    # which entries first appear, and with it max_position's tie-breaking
+    _check_n(n)
+    if not 1 <= i <= n - 2:
+        raise ValueError(f"{name} needs sites i and i+1: i = {i} outside 1..{n - 2}")
+    u = _fraction(u)
+    v = _fraction(v)
+    left = y(i, v) @ y(i + 1, u + v) @ y(i, u)
+    right = y(i + 1, u) @ y(i, v + u) @ y(i + 1, v)
+    return left - right
+
+
 def yb_defect(i: int, u, v, lam, n: int) -> DefectResult:
     """D = Y_i(v) Y_{i+1}(u+v) Y_i(u) - Y_{i+1}(u) Y_i(v+u) Y_{i+1}(v), exact.
 
     Nonzero at generic (u, v): the exchange phase i/(u lam) is not additive
     in u, which is what the Yang-Baxter relation would require.
     """
-    _check_n(n)
-    if not 1 <= i <= n - 2:
-        raise ValueError(f"yb_defect needs sites i and i+1: i = {i} outside 1..{n - 2}")
-    u = _fraction(u)
-    v = _fraction(v)
-    y = lambda site, arg: yang_op(site, arg, lam, n).matrix
-    left = y(i, v) @ y(i + 1, u + v) @ y(i, u)
-    right = y(i + 1, u) @ y(i, v + u) @ y(i + 1, v)
-    d = left - right
+    d = _triple_defect(lambda site, arg: yang_op(site, arg, lam, n).matrix,
+                       i, u, v, n, "yb_defect")
     max_entry, max_pos = d.max_abs_entry()
     return DefectResult(matrix=d, max_entry=max_entry, max_position=max_pos)
 
@@ -402,9 +412,7 @@ def delta_yang_op(i: int, u, c, n: int,
 def check_delta_unitarity(i: int, u, c, n: int,
                           variant: tuple[int, int] | None = None) -> bool:
     """Exact truth of Y^d_i(-u) Y^d_i(u) = identity."""
-    u = _fraction(u)
-    prod = delta_yang_op(i, -u, c, n, variant) @ delta_yang_op(i, u, c, n, variant)
-    return prod == GroupAlgebraElement.identity(n)
+    return _is_unitary(lambda arg: delta_yang_op(i, arg, c, n, variant), u, n)
 
 
 def delta_variant() -> tuple[int, int]:
@@ -420,13 +428,6 @@ def delta_variant() -> tuple[int, int]:
 def delta_control_defect(i: int, u, v, c, n: int) -> GroupAlgebraElement:
     """Yang-Baxter defect of the delta-interaction operator: exactly the zero
     element (the solvable control for yb_defect)."""
-    _check_n(n)
-    if not 1 <= i <= n - 2:
-        raise ValueError(f"delta control needs sites i and i+1: i = {i} outside 1..{n - 2}")
-    u = _fraction(u)
-    v = _fraction(v)
     variant = delta_variant()
-    y = lambda site, arg: delta_yang_op(site, arg, c, n, variant=variant)
-    left = y(i, v) @ y(i + 1, u + v) @ y(i, u)
-    right = y(i + 1, u) @ y(i, v + u) @ y(i + 1, v)
-    return left - right
+    return _triple_defect(lambda site, arg: delta_yang_op(site, arg, c, n, variant=variant),
+                          i, u, v, n, "delta control")

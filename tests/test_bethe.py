@@ -327,6 +327,15 @@ def test_solver_signals_non_convergence():
         solve_bethe(4, 10.0, 5.0, max_iter=1)
 
 
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_solvers_need_a_newton_step(max_iter):
+    # a step budget below one is bad input, not non-convergence
+    with pytest.raises(ValueError, match=f"max_iter = {max_iter}"):
+        solve_bethe(2, 10.0, 1.0, max_iter=max_iter)
+    with pytest.raises(ValueError, match=f"max_iter = {max_iter}"):
+        solve_lieb_liniger(2, 10.0, 1.0, max_iter=max_iter)
+
+
 # ---------------------------------------------------------------------------
 # duality
 
@@ -370,6 +379,11 @@ def test_ground_state_scan_validates_input():
         ground_state_scan(1.0, 1.0, [4, 4])
     with pytest.raises(ValueError):
         ground_state_scan(-1.0, 1.0, [4, 8])
+
+
+def test_ground_state_scan_needs_a_size():
+    with pytest.raises(ValueError, match="sizes"):
+        ground_state_scan(1.0, 1.0, [])
 
 
 def test_single_particle_ground_state_has_zero_energy():

@@ -12,7 +12,7 @@ import pytest
 
 import momgas
 from momgas import __version__
-from momgas.cli import main, run
+from momgas.cli import COMMANDS, main, run
 
 
 def run_json(capsys, argv):
@@ -198,6 +198,21 @@ def test_exit_1_names_a_zero_size_in_gs_scan(capsys):
     assert "N = 0" in capsys.readouterr().err
 
 
+def test_exit_1_names_an_empty_size_list_in_gs_scan(capsys):
+    assert main(["gs-scan", "--rho", "1", "--lambda", "1", "--sizes="]) == 1
+    assert "sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bethe-solve", "--n", "2", "--box", "10", "--lambda", "1"],
+    ["ll-solve", "--n", "2", "--box", "10", "--c", "1"],
+])
+@pytest.mark.parametrize("max_iter", ["0", "-3"])
+def test_exit_1_names_a_step_budget_below_one(capsys, argv, max_iter):
+    assert main(argv + [f"--max-iter={max_iter}"]) == 1
+    assert f"max_iter = {max_iter}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("draws", ["0", "-1"])
 def test_exit_1_names_a_draw_count_below_one(capsys, draws):
     assert main(["gaudin-check", "--n", "3", "--draws", draws]) == 1
@@ -322,3 +337,15 @@ def test_csv_vertex_scan_matches_json(capsys):
         mc, v_exact, v_leading, rel_error = (float(v) for v in line.split(","))
         assert mc == row["mc"]
         assert rel_error == pytest.approx(row["rel_error"], rel=1e-15)
+
+
+def test_readme_command_table_matches_commands():
+    # the README's "Subcommands and CSV columns" table documents COMMANDS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Subcommands and CSV columns", 1)[1].split("\n#", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip().strip("`") for cell in line.strip("|").split(" | ")]
+            table[cells[0]] = cells[-1]
+    assert table == {name: command.columns for name, command in COMMANDS.items()}

@@ -163,8 +163,6 @@ def test_sine_gordon_quartic_coefficient():
 
 def test_params_defaults():
     params = RelativisticParams(m=2.0, c=3.0)
-    assert params.E0 == 2.0 * 9.0
-    assert params.alpha == 36.0
     assert params.mc == 6.0
     assert params.rest_energy == 18.0
     with pytest.raises(ValueError):
