@@ -22,7 +22,6 @@ __version__ = "0.1.0"
 
 from .twobody import (
     BoundaryResidual,
-    Coupling,
     Parity,
     TwoBodyState,
     bc_residual,
@@ -40,7 +39,6 @@ from .bethe import (
     duality_check,
     eval_gradient,
     eval_wavefunction,
-    free_boson_wavefunction,
     gaudin_amplitudes,
     gaudin_residual_scan,
     gaudin_wavefunction,
@@ -86,14 +84,13 @@ from .regularize import (
 
 __all__ = [
     "__version__",
-    "BoundaryResidual", "Coupling", "Parity", "TwoBodyState",
+    "BoundaryResidual", "Parity", "TwoBodyState",
     "bc_residual", "bound_state", "eval_two_body", "eval_two_body_derivative",
     "scattering_state", "two_body_residual",
     "BetheState", "BetheWavefunction", "ConvergenceError",
     "bethe_residuals", "duality_check", "eval_gradient", "eval_wavefunction",
-    "free_boson_wavefunction", "gaudin_amplitudes", "gaudin_residual_scan",
-    "gaudin_wavefunction", "ground_state_scan", "schrodinger_residual",
-    "solve_bethe", "solve_lieb_liniger",
+    "gaudin_amplitudes", "gaudin_residual_scan", "gaudin_wavefunction",
+    "ground_state_scan", "schrodinger_residual", "solve_bethe", "solve_lieb_liniger",
     "GaussianRational", "GroupAlgebraElement", "YangOperator",
     "check_unitarity", "delta_control_defect", "delta_variant",
     "regular_rep", "yang_op", "yb_defect",

@@ -7,11 +7,11 @@ eigenfunction is a Gaudin-type sum of plane waves,
     chi(x) = sum_{P in S_N} A_P exp(i sum_j k_{Pj} x_j),
     A_P = sgn(P) * prod_{1 <= l < j <= N} (i*lam*(k_{Pj} - k_{Pl}) + 1),
 
-and the extension off the wedge is antisymmetric (fermions) or symmetric
-(the boson control states).  `gaudin_amplitudes` returns the raw products;
-wavefunctions built by `gaudin_wavefunction` rescale all amplitudes by the
-identity amplitude (a global constant, so the same eigenfunction), which
-keeps every |A_P| = 1 and the evaluation well conditioned at large lam.
+and the extension off the wedge is antisymmetric.  `gaudin_amplitudes`
+returns the raw products; wavefunctions built by `gaudin_wavefunction`
+rescale all amplitudes by the identity amplitude (a global constant, so the
+same eigenfunction), which keeps every |A_P| = 1 and the evaluation well
+conditioned at large lam.
 
 Ring quantization.  On a ring of circumference L with boundary phase
 eta in {0, pi} the momenta obey
@@ -58,7 +58,7 @@ from .yang_baxter import perm_sign
 __all__ = [
     "MAX_PARTICLES_ENUMERATED", "ConvergenceError",
     "BetheState", "BetheWavefunction",
-    "gaudin_amplitudes", "gaudin_wavefunction", "free_boson_wavefunction",
+    "gaudin_amplitudes", "gaudin_wavefunction",
     "eval_wavefunction", "eval_gradient",
     "solve_bethe", "solve_lieb_liniger", "bethe_residuals",
     "duality_check", "ground_state_scan", "ground_state_quantum_numbers",
@@ -74,8 +74,12 @@ class ConvergenceError(RuntimeError):
 
 
 def parity_rule_eta(n: int) -> float:
-    """Boundary phase of the fermion model that matches the boson gas:
-    periodic (eta = 0) for even N, anti-periodic (eta = pi) for odd N."""
+    """Boundary phase of the fermion model that matches the periodic boson
+    gas: eta = 0 for even N, eta = pi for odd N.
+
+    A fermion eigenfunction picks up -exp(i eta) when one particle goes
+    once round the ring, so under this rule it is anti-periodic for even N
+    and periodic for odd N."""
     return math.pi if n % 2 else 0.0
 
 
@@ -109,27 +113,20 @@ def gaudin_amplitudes(momenta, lam: float) -> dict[tuple[int, ...], complex]:
 
 @dataclass
 class BetheWavefunction:
-    """A Bethe-ansatz wavefunction: momenta plus permutation amplitudes.
-
-    `statistics` is "fermion" (antisymmetric extension off the wedge) or
-    "boson" (symmetric extension).
+    """A fermion Bethe-ansatz wavefunction: momenta plus permutation
+    amplitudes of the wedge formula, extended antisymmetrically off the wedge.
     """
     momenta: tuple[float, ...]
     amplitudes: dict[tuple[int, ...], complex]
-    statistics: str = "fermion"
-    _perms: list[tuple[int, ...]] = field(init=False, repr=False)
     _amps: np.ndarray = field(init=False, repr=False)
     _kmat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.statistics not in ("fermion", "boson"):
-            raise ValueError("statistics must be 'fermion' or 'boson'")
         n = len(self.momenta)
         perms = sorted(self.amplitudes)
         if perms != sorted(itertools.permutations(range(n))):
             raise ValueError("amplitudes must cover S_N exactly once")
         k = np.asarray(self.momenta, dtype=float)
-        self._perms = perms
         self._amps = np.array([self.amplitudes[p] for p in perms], dtype=complex)
         self._kmat = np.array([[k[p[a]] for a in range(n)] for p in perms], dtype=float)
 
@@ -155,19 +152,10 @@ class BetheWavefunction:
         order = sorted(range(n), key=lambda m: (x[m], rank[m]))
         y = np.array([x[m] for m in order], dtype=float)
         value, grad_y = self._wedge(y)
-        if self.statistics == "fermion":
-            s = perm_sign(order)
-            value = s * value
-            grad_y = s * grad_y
-        slot = {m: a for a, m in enumerate(order)}
-        grad_x = np.array([grad_y[slot[m]] for m in range(n)], dtype=complex)
-        return value, grad_x
-
-    def value(self, x) -> complex:
-        return self._sector_eval([float(v) for v in x])[0]
-
-    def gradient(self, x) -> np.ndarray:
-        return self._sector_eval([float(v) for v in x])[1]
+        s = perm_sign(order)
+        grad_x = np.empty(n, dtype=complex)
+        grad_x[order] = s * grad_y
+        return s * value, grad_x
 
     def one_sided_pair(self, x, pair, side) -> tuple[complex, np.ndarray]:
         """Value and gradient on the side x_j = x_k + side*0+ of the contact
@@ -186,19 +174,7 @@ def gaudin_wavefunction(momenta, lam: float) -> BetheWavefunction:
     k = tuple(float(v) for v in momenta)
     amps = gaudin_amplitudes(k, lam)
     a0 = amps[tuple(range(len(k)))]
-    return BetheWavefunction(momenta=k, amplitudes={p: a / a0 for p, a in amps.items()},
-                             statistics="fermion")
-
-
-def free_boson_wavefunction(momenta) -> BetheWavefunction:
-    """Symmetric plane-wave sum sum_P exp(i sum_j k_Pj x_j) (all amplitudes 1).
-
-    Satisfies the contact conditions trivially, for every lam.
-    """
-    n = len(tuple(momenta))
-    amps = {p: 1.0 + 0j for p in itertools.permutations(range(n))}
-    return BetheWavefunction(momenta=tuple(float(v) for v in momenta),
-                             amplitudes=amps, statistics="boson")
+    return BetheWavefunction(momenta=k, amplitudes={p: a / a0 for p, a in amps.items()})
 
 
 def _checked_coords(wf: BetheWavefunction, x) -> list[float]:
@@ -211,12 +187,12 @@ def _checked_coords(wf: BetheWavefunction, x) -> list[float]:
 
 def eval_wavefunction(wf: BetheWavefunction, x) -> complex:
     """Evaluate wf at pairwise-distinct coordinates x (any sector)."""
-    return wf.value(_checked_coords(wf, x))
+    return wf._sector_eval(_checked_coords(wf, x))[0]
 
 
 def eval_gradient(wf: BetheWavefunction, x) -> np.ndarray:
     """Analytic gradient of wf at pairwise-distinct coordinates x."""
-    return wf.gradient(_checked_coords(wf, x))
+    return wf._sector_eval(_checked_coords(wf, x))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +287,7 @@ def _finish_state(k: np.ndarray, L: float, eta: float, I: np.ndarray,
 
 def _validate_eta(eta: float) -> float:
     if eta not in (0.0, math.pi):
-        raise ValueError("eta must be 0 (periodic) or pi (anti-periodic)")
+        raise ValueError(f"boundary phase eta must be 0 or pi, got {eta!r}")
     return float(eta)
 
 
@@ -553,16 +529,8 @@ def gaudin_residual_scan(n: int, draws: int, seed: int = 0,
         max_value = 0.0
         for j in range(n - 1):
             # base point on x_j = x_{j+1} with distinct spectators
-            coords = distinct_draw(max(n - 1, 1), 0.0, 5.0, 5e-2)
-            t = coords[0]
-            point = [0.0] * n
-            point[j] = point[j + 1] = t
-            spect = coords[1:]
-            idx = 0
-            for m in range(n):
-                if m not in (j, j + 1):
-                    point[m] = spect[idx]
-                    idx += 1
+            t, *spect = distinct_draw(n - 1, 0.0, 5.0, 5e-2)
+            point = spect[:j] + [t, t] + spect[j:]
             res = bc_residual(wf, lam, (j, j + 1), point)
             max_deriv = max(max_deriv, float(abs(res.derivative_jump)))
             max_value = max(max_value, float(abs(res.value_jump_defect)))

@@ -158,7 +158,10 @@ def vertex_expansion_scan(ks, mc_values) -> dict:
     log-log slope over mc in {10, 20, 40, 80} is about -1.93 at
     ks = (1, 2, 3, 5), where |c4/c2| = 17.875.
     """
-    k1, k2, k3, k4 = (float(v) for v in ks)
+    ks = [float(v) for v in ks]
+    if len(ks) != 4:
+        raise ValueError(f"need the four momenta k1, k2, k3, k4, got {len(ks)}")
+    k1, k2, k3, k4 = ks
     if (k1 - k3) * (k2 - k4) == 0.0:
         raise ValueError("degenerate momentum tuple: leading term vanishes, "
                          "relative error undefined")
@@ -176,7 +179,7 @@ def vertex_expansion_scan(ks, mc_values) -> dict:
             "rel_error": abs(v - lead) / abs(lead),
         })
     slope = loglog_slope(mc_values, [r["rel_error"] for r in rows])
-    return {"ks": [k1, k2, k3, k4], "rows": rows, "slope": slope}
+    return {"ks": ks, "rows": rows, "slope": slope}
 
 
 def sine_gordon_taylor_coeff(n: int, m: float, c: float, beta: float) -> float:

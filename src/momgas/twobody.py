@@ -35,8 +35,7 @@ Conventions fixed here and relied on by every other module:
     left and right derivatives (they coincide on eigenfunctions);
   * sgn(0) = 0, so chi_minus(0) is that average of its one-sided limits;
   * one-sided limits are taken analytically, by branch selection, never by
-    shrinking a numerical offset.  The `offset` argument of `bc_residual`
-    exists only for probing generic functions that are not eigenfunctions.
+    shrinking a numerical offset.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
-    "Parity", "Coupling", "TwoBodyState", "BoundaryResidual",
+    "Parity", "TwoBodyState", "BoundaryResidual",
     "scattering_state", "bound_state",
     "eval_two_body", "eval_two_body_derivative",
     "two_body_residual", "bc_residual",
@@ -58,28 +57,6 @@ class Parity(Enum):
     """Exchange parity of the two-particle relative wavefunction."""
     EVEN = "even"
     ODD = "odd"
-
-
-@dataclass(frozen=True)
-class Coupling:
-    """Interaction strength `lam` and the dual boson-gas coupling cB = 1/lam.
-
-    lam > 0 is the repulsive sector, lam < 0 the attractive one; lam = 0
-    is the free model and carries no dual coupling.
-    """
-    lam: float
-
-    def __post_init__(self):
-        if self.lam == 0:
-            raise ValueError("lam = 0 is the free model; the dual coupling 1/lam is undefined")
-
-    @property
-    def cB(self) -> float:
-        return 1.0 / self.lam
-
-    @property
-    def repulsive(self) -> bool:
-        return self.lam > 0
 
 
 @dataclass(frozen=True)
@@ -134,15 +111,18 @@ def bound_state(lam: float) -> TwoBodyState | None:
     return TwoBodyState(parity=Parity.ODD, k=1j / (2.0 * lam), energy=-1.0 / (4.0 * lam * lam))
 
 
-def _bound_params(state: TwoBodyState, lam: float) -> tuple[float, float]:
+def _odd_branch(state: TwoBodyState, lam: float) -> tuple[float, float] | None:
+    # validate an odd-channel state at lam; for the bound state return its
     # decay rate kappa = 1/(2|lam|) and L2 normalization 1/sqrt(2|lam|)
-    if lam >= 0:
-        raise ValueError("bound state requested with lam >= 0; it exists only for lam < 0")
-    if state.parity is not Parity.ODD:
-        raise ValueError("the bound state lives in the odd channel")
-    kappa = 1.0 / (2.0 * abs(lam))
-    norm = 1.0 / math.sqrt(2.0 * abs(lam))
-    return kappa, norm
+    if state.bound:
+        if lam >= 0:
+            raise ValueError("bound state requested with lam >= 0; it exists only for lam < 0")
+        return 1.0 / (2.0 * abs(lam)), 1.0 / math.sqrt(2.0 * abs(lam))
+    if lam == 0:
+        raise ValueError("odd channel requires lam != 0")
+    if state.k == 0:
+        raise ValueError("odd channel degenerates at k = 0")
+    return None
 
 
 def eval_two_body(state: TwoBodyState, lam: float, x: float) -> complex:
@@ -154,13 +134,10 @@ def eval_two_body(state: TwoBodyState, lam: float, x: float) -> complex:
     """
     if state.parity is Parity.EVEN:
         return cmath.cos(state.k * x)
-    if state.bound:
-        kappa, norm = _bound_params(state, lam)
+    bound = _odd_branch(state, lam)
+    if bound:
+        kappa, norm = bound
         return _sgn(x) * math.exp(-kappa * abs(x)) * norm
-    if lam == 0:
-        raise ValueError("odd channel requires lam != 0")
-    if state.k == 0:
-        raise ValueError("odd channel degenerates at k = 0 (sin(kx)/(2 lam k) is singular)")
     k = state.k
     return cmath.sin(k * x) / (2.0 * lam * k) + _sgn(x) * cmath.cos(k * x)
 
@@ -173,13 +150,10 @@ def eval_two_body_derivative(state: TwoBodyState, lam: float, x: float) -> compl
     """
     if state.parity is Parity.EVEN:
         return -state.k * cmath.sin(state.k * x)
-    if state.bound:
-        kappa, norm = _bound_params(state, lam)
+    bound = _odd_branch(state, lam)
+    if bound:
+        kappa, norm = bound
         return -kappa * math.exp(-kappa * abs(x)) * norm
-    if lam == 0:
-        raise ValueError("odd channel requires lam != 0")
-    if state.k == 0:
-        raise ValueError("odd channel degenerates at k = 0")
     k = state.k
     return cmath.cos(k * x) / (2.0 * lam) - k * _sgn(x) * cmath.sin(k * x)
 
@@ -188,13 +162,10 @@ def _one_sided(state: TwoBodyState, lam: float, side: int) -> tuple[complex, com
     # value and derivative at x -> side * 0+ with the sgn branch fixed to `side`
     if state.parity is Parity.EVEN:
         return 1.0 + 0j, 0.0 + 0j
-    if state.bound:
-        kappa, norm = _bound_params(state, lam)
+    bound = _odd_branch(state, lam)
+    if bound:
+        kappa, norm = bound
         return side * norm + 0j, -kappa * norm + 0j
-    if lam == 0:
-        raise ValueError("odd channel requires lam != 0")
-    if state.k == 0:
-        raise ValueError("odd channel degenerates at k = 0")
     return side * 1.0 + 0j, 1.0 / (2.0 * lam) + 0j
 
 
@@ -212,19 +183,16 @@ def two_body_residual(state: TwoBodyState, lam: float) -> BoundaryResidual:
     )
 
 
-def bc_residual(wavefunction, lam: float, pair: tuple[int, int], base_point,
-                offset: float = 1e-6) -> BoundaryResidual:
+def bc_residual(wavefunction, lam: float, pair: tuple[int, int],
+                base_point) -> BoundaryResidual:
     """Defects of the N-body matching conditions at a point on x_j = x_k.
 
-    `pair` holds 0-based coordinate indices (j, k); `base_point` must lie on
-    the hyperplane x_j = x_k with all spectator coordinates distinct from
-    each other and from the contact value.
-
-    `wavefunction` is either an object exposing
-    ``one_sided_pair(x, pair, side) -> (value, gradient)`` (the analytic
-    path used for Bethe wavefunctions; `offset` is ignored), or a pair of
-    callables ``(f, grad)`` evaluated a finite distance `offset` from the
-    hyperplane -- the diagnostic path for generic non-eigenfunctions.
+    `wavefunction` is a `bethe.BetheWavefunction`; its
+    ``one_sided_pair(x, pair, side) -> (value, gradient)`` takes the limits
+    x_j = x_k +- 0+ analytically.  `pair` holds 0-based coordinate indices
+    (j, k); `base_point` must lie on the hyperplane x_j = x_k with all
+    spectator coordinates distinct from each other and from the contact
+    value.
 
     Returns the defect of both matching conditions:
     (d_j - d_k) chi continuity, and the value jump minus
@@ -247,25 +215,8 @@ def bc_residual(wavefunction, lam: float, pair: tuple[int, int], base_point,
             if abs(va - vb) < 1e-9 * scale:
                 raise ValueError("spectator coordinates coincide; the sector is ill-defined")
 
-    if hasattr(wavefunction, "one_sided_pair"):
-        vp, gp = wavefunction.one_sided_pair(x, (j, k), +1)
-        vm, gm = wavefunction.one_sided_pair(x, (j, k), -1)
-    else:
-        try:
-            f, grad = wavefunction
-        except TypeError:
-            raise ValueError(
-                "wavefunction must expose one_sided_pair() or be a (value, gradient) pair"
-            ) from None
-        if offset <= 0:
-            raise ValueError("offset must be positive for the finite-offset diagnostic path")
-        xp = list(x)
-        xp[j], xp[k] = t + offset / 2.0, t - offset / 2.0
-        xm = list(x)
-        xm[j], xm[k] = t - offset / 2.0, t + offset / 2.0
-        vp, gp = f(xp), grad(xp)
-        vm, gm = f(xm), grad(xm)
-
+    vp, gp = wavefunction.one_sided_pair(x, pair, +1)
+    vm, gm = wavefunction.one_sided_pair(x, pair, -1)
     dplus = gp[j] - gp[k]
     dminus = gm[j] - gm[k]
     return BoundaryResidual(

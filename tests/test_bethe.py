@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from momgas.bethe import (
     MAX_PARTICLES_ENUMERATED, BetheWavefunction, ConvergenceError, _mp_wedge_values,
     bethe_residuals, duality_check, eval_gradient, eval_wavefunction,
-    free_boson_wavefunction, gaudin_amplitudes, gaudin_residual_scan,
+    gaudin_amplitudes, gaudin_residual_scan,
     gaudin_wavefunction, ground_state_quantum_numbers, ground_state_scan,
     parity_rule_eta, schrodinger_residual, solve_bethe, solve_lieb_liniger,
 )
@@ -154,10 +154,6 @@ def test_eval_validates_input():
 def test_wavefunction_requires_full_amplitude_cover():
     with pytest.raises(ValueError):
         BetheWavefunction(momenta=(0.0, 1.0), amplitudes={(0, 1): 1.0 + 0j})
-    with pytest.raises(ValueError):
-        BetheWavefunction(momenta=(0.0, 1.0),
-                          amplitudes={(0, 1): 1.0 + 0j, (1, 0): 1.0 + 0j},
-                          statistics="anyon")
 
 
 def test_one_sided_pair_matches_offset_limit():
@@ -166,22 +162,13 @@ def test_one_sided_pair_matches_offset_limit():
     vp, gp = wf.one_sided_pair(x, (0, 1), +1)
     eps = 1e-8
     off = [0.7 + eps / 2, 0.7 - eps / 2, 2.4]
-    assert wf.value(off) == pytest.approx(vp, rel=1e-6)
+    assert eval_wavefunction(wf, off) == pytest.approx(vp, rel=1e-6)
     for m in range(3):
-        assert wf.gradient(off)[m] == pytest.approx(gp[m], rel=1e-6, abs=1e-6)
+        assert eval_gradient(wf, off)[m] == pytest.approx(gp[m], rel=1e-6, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
 # contact conditions
-
-
-def test_free_boson_satisfies_conditions_for_every_lambda():
-    wf = free_boson_wavefunction([-1.0, 0.5, 2.0])
-    point = [1.2, 1.2, 3.4]
-    for lam in (0.25, 1.0, 10.0):
-        res = bc_residual(wf, lam, (0, 1), point)
-        assert abs(res.derivative_jump) <= 1e-13
-        assert abs(res.value_jump_defect) <= 1e-13
 
 
 def test_gaudin_satisfies_conditions_on_adjacent_hyperplane():
@@ -334,6 +321,24 @@ def test_solvers_need_a_newton_step(max_iter):
         solve_bethe(2, 10.0, 1.0, max_iter=max_iter)
     with pytest.raises(ValueError, match=f"max_iter = {max_iter}"):
         solve_lieb_liniger(2, 10.0, 1.0, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("lam", [0.5, 3.0])
+@pytest.mark.parametrize("eta", [0.0, math.pi])
+def test_ring_twist_of_the_gaudin_state(n, lam, eta):
+    # carrying one particle once round the ring multiplies the fermion state
+    # by -exp(i eta): eta = 0 is anti-periodic, eta = pi periodic
+    import random
+    L = n + 3.0
+    wf = gaudin_wavefunction(solve_bethe(n, L, lam, eta=eta).momenta, lam)
+    rng = random.Random(n)
+    x = sorted(rng.uniform(0.0, L) for _ in range(n))
+    moved = [x[0] + L] + x[1:]
+    value = eval_wavefunction(wf, x)
+    assert abs(value) > 0.1
+    twist = -complex(math.cos(eta), math.sin(eta))
+    assert abs(eval_wavefunction(wf, moved) - twist * value) <= 1e-12 * abs(value)
 
 
 # ---------------------------------------------------------------------------

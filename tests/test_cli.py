@@ -213,6 +213,14 @@ def test_exit_1_names_a_step_budget_below_one(capsys, argv, max_iter):
     assert f"max_iter = {max_iter}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ks,count", [("1,2", 2), ("1,2,3,4,5", 5)])
+def test_exit_1_names_the_four_vertex_momenta(capsys, ks, count):
+    assert main(["vertex-scan", "--k", ks]) == 1
+    err = capsys.readouterr().err
+    assert "four momenta k1, k2, k3, k4" in err
+    assert f"got {count}" in err
+
+
 @pytest.mark.parametrize("draws", ["0", "-1"])
 def test_exit_1_names_a_draw_count_below_one(capsys, draws):
     assert main(["gaudin-check", "--n", "3", "--draws", draws]) == 1

@@ -144,6 +144,12 @@ def test_vertex_scan_rejects_degenerate_tuples():
         vertex_expansion_scan([1.0, 2.0, 3.0, 5.0], [10.0, 0.0])
 
 
+@pytest.mark.parametrize("ks", [[1.0, 2.0], [1.0, 2.0, 3.0, 5.0, 7.0], []])
+def test_vertex_scan_needs_four_momenta(ks):
+    with pytest.raises(ValueError, match=rf"four momenta k1, k2, k3, k4, got {len(ks)}"):
+        vertex_expansion_scan(ks, [10.0, 20.0])
+
+
 # ---------------------------------------------------------------------------
 # cosine-potential coefficients and coupling maps
 

@@ -5,35 +5,15 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from momgas import bethe
+from momgas.bethe import BetheWavefunction, gaudin_wavefunction, schrodinger_residual
 from momgas.twobody import (
-    BoundaryResidual, Coupling, Parity, TwoBodyState,
+    BoundaryResidual, Parity, TwoBodyState,
     bc_residual, bound_state, eval_two_body, eval_two_body_derivative,
     scattering_state, two_body_residual,
 )
 
 finite = dict(allow_nan=False, allow_infinity=False)
-
-
-# ---------------------------------------------------------------------------
-# Coupling
-
-
-def test_coupling_dual_is_definitional():
-    c = Coupling(lam=0.3)
-    assert c.cB == 1.0 / 0.3
-    assert c.repulsive
-    assert not Coupling(lam=-2.0).repulsive
-
-
-def test_coupling_rejects_free_model():
-    with pytest.raises(ValueError):
-        Coupling(lam=0.0)
-
-
-@given(st.floats(min_value=1e-6, max_value=1e6, **finite))
-def test_coupling_product_within_one_ulp(lam):
-    # cB = 1/lam definitionally; the float product may be one ulp off 1
-    assert abs(Coupling(lam).cB * lam - 1.0) <= 2.0 ** -52
 
 
 # ---------------------------------------------------------------------------
@@ -184,43 +164,58 @@ def test_bound_state_requires_attractive_lambda():
 
 
 # ---------------------------------------------------------------------------
-# bc_residual plumbing (the N-body entry point, probed here at N = 2)
+# bc_residual plumbing (the N-body entry point)
 
 
-def _plane_wave_pair():
-    # exp(i(x1 + 2 x2)): a generic non-eigenfunction
-    f = lambda x: complex(math.cos(x[0] + 2 * x[1]), math.sin(x[0] + 2 * x[1]))
-    grad = lambda x: [1j * f(x), 2j * f(x)]
-    return f, grad
+def _mutant(momenta=(-1.3, 0.2, 1.9), lam=0.8, flipped=(1, 0, 2)):
+    # the Gaudin state with one amplitude negated: a plane-wave sum that
+    # solves the free equation in every wedge but not the contact conditions
+    wf = gaudin_wavefunction(momenta, lam)
+    amps = dict(wf.amplitudes)
+    amps[flipped] = -amps[flipped]
+    return BetheWavefunction(momenta=wf.momenta, amplitudes=amps)
 
 
 def test_generic_plane_wave_has_nonzero_value_defect():
-    res = bc_residual(_plane_wave_pair(), 1.0, (0, 1), [0.4, 0.4])
-    assert abs(res.value_jump_defect) > 0.1
+    res = bc_residual(_mutant(), 0.8, (0, 1), [0.7, 0.7, 2.4])
+    assert abs(res.value_jump_defect) > 1.0
     assert isinstance(res, BoundaryResidual)
+    true = bc_residual(gaudin_wavefunction((-1.3, 0.2, 1.9), 0.8), 0.8, (0, 1),
+                       [0.7, 0.7, 2.4])
+    assert abs(true.value_jump_defect) <= 1e-14
 
 
 def test_bc_residual_validates_geometry():
-    pair = _plane_wave_pair()
+    wf = _mutant()
     with pytest.raises(ValueError):
-        bc_residual(pair, 1.0, (0, 1), [0.0, 1.0])      # not on the hyperplane
+        bc_residual(wf, 1.0, (0, 1), [0.0, 1.0, 2.0])      # not on the hyperplane
     with pytest.raises(ValueError):
-        bc_residual(pair, 1.0, (0, 0), [0.0, 0.0])      # degenerate pair
+        bc_residual(wf, 1.0, (0, 0), [0.0, 0.0, 2.0])      # degenerate pair
     with pytest.raises(ValueError):
-        bc_residual(pair, 1.0, (0, 3), [0.0, 0.0])      # out of range
-    with pytest.raises(ValueError):
-        bc_residual(pair, 1.0, (0, 1), [0.5, 0.5], offset=0.0)
-    with pytest.raises(ValueError):
-        bc_residual(42, 1.0, (0, 1), [0.5, 0.5])        # no evaluation protocol
+        bc_residual(wf, 1.0, (0, 3), [0.0, 0.0, 2.0])      # out of range
 
 
 def test_bc_residual_rejects_coinciding_spectators():
-    f = lambda x: 1.0 + 0j
-    grad = lambda x: [0j, 0j, 0j, 0j]
+    wf = _mutant((-1.3, 0.2, 1.9, 2.6), 0.8, (1, 0, 2, 3))
     with pytest.raises(ValueError):
-        bc_residual((f, grad), 1.0, (0, 1), [0.5, 0.5, 2.0, 2.0])
+        bc_residual(wf, 1.0, (0, 1), [0.5, 0.5, 2.0, 2.0])
     with pytest.raises(ValueError):
-        bc_residual((f, grad), 1.0, (0, 1), [0.5, 0.5, 0.5, 2.0])
+        bc_residual(wf, 1.0, (0, 1), [0.5, 0.5, 0.5, 2.0])
+
+
+def test_probe_misses_the_mutant_that_the_contact_check_catches(monkeypatch):
+    # every plane wave of the table has energy E, so the Schroedinger probe
+    # passes any amplitude set; only the contact conditions pin the amplitudes
+    momenta, lam, x = (-1.3, 0.2, 1.9), 0.8, [0.2, 1.4, 3.1]
+    mutant = _mutant(momenta, lam)
+    true_probe = schrodinger_residual(momenta, lam, x)
+    monkeypatch.setattr(bethe, "gaudin_wavefunction", lambda *args: mutant)
+    mutant_probe = schrodinger_residual(momenta, lam, x)
+    assert true_probe <= 1e-12
+    assert mutant_probe <= 1e-12
+    assert mutant_probe != true_probe       # the probe summed the mutant's table
+    res = bc_residual(mutant, lam, (0, 1), [0.7, 0.7, 2.4])
+    assert abs(res.value_jump_defect) > 1.0
 
 
 def test_energy_matches_regularized_route():
