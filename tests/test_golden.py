@@ -54,6 +54,12 @@ CLI_CASES = {
     "coupling_maps_g_b": ["coupling-maps", "--g", "2.0", "--beta", "1.0", "--g-b", "-3"],
     "coleman": ["coleman", "--g", "2.5"],
     "reg_integral": ["reg-integral", "--lambda", "-1", "--e-abs", "0.25"],
+    "reg_integral_csv": ["reg-integral", "--lambda", "-1", "--e-abs", "0.25", "--format", "csv"],
+    # non-default mass and speed of light
+    "coupling_maps_m2_c3": ["coupling-maps", "--g", "-1.5", "--beta", "0.7", "--m", "2",
+                            "--c", "3"],
+    "coupling_maps_m2_c3_csv": ["coupling-maps", "--g", "-1.5", "--beta", "0.7", "--m", "2",
+                                "--c", "3", "--format", "csv"],
     # the CSV projection of every single-row subcommand
     "two_body_csv": ["two-body", "--parity", "odd", "--k", "1.5", "--lambda", "0.5",
                      "--format", "csv"],
