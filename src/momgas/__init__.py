@@ -50,7 +50,6 @@ from .bethe import (
 from .yang_baxter import (
     GaussianRational,
     GroupAlgebraElement,
-    YangOperator,
     check_unitarity,
     delta_control_defect,
     delta_variant,
@@ -60,7 +59,6 @@ from .yang_baxter import (
 )
 from .nonrel import (
     BogoliubovPair,
-    RelativisticParams,
     bogoliubov,
     coleman_check,
     coleman_full_product,
@@ -74,7 +72,6 @@ from .nonrel import (
     vertex_leading,
 )
 from .regularize import (
-    RegularizedIntegral,
     bound_state_energy_via_regularization,
     closed_form,
     extrapolate_integral,
@@ -91,15 +88,14 @@ __all__ = [
     "bethe_residuals", "duality_check", "eval_gradient", "eval_wavefunction",
     "gaudin_amplitudes", "gaudin_residual_scan", "gaudin_wavefunction",
     "ground_state_scan", "schrodinger_residual", "solve_bethe", "solve_lieb_liniger",
-    "GaussianRational", "GroupAlgebraElement", "YangOperator",
+    "GaussianRational", "GroupAlgebraElement",
     "check_unitarity", "delta_control_defect", "delta_variant",
     "regular_rep", "yang_op", "yb_defect",
-    "BogoliubovPair", "RelativisticParams",
-    "bogoliubov", "coleman_check", "coleman_full_product", "coupling_maps",
+    "BogoliubovPair", "bogoliubov", "coleman_check", "coleman_full_product", "coupling_maps",
     "dispersion", "dispersion_remainder", "dispersion_scan",
     "sine_gordon_taylor_coeff", "vertex_exact", "vertex_expansion_scan",
     "vertex_leading",
-    "RegularizedIntegral", "bound_state_energy_via_regularization",
+    "bound_state_energy_via_regularization",
     "closed_form", "extrapolate_integral", "regularized_integral",
     "richardson",
 ]

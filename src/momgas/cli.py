@@ -12,9 +12,10 @@ entry of COMMANDS: its help text, flags, handler and CSV columns.
 
 Exit codes separate misuse from falsification:
   0  success
-  1  validation error (bad flags, out-of-guard N, malformed numbers,
+  1  validation error (bad flags, out-of-guard N, malformed or non-finite numbers,
      attractive-sector solve, ...)
-  2  numerical non-convergence (Newton iteration exhausted)
+  2  numerical non-convergence (Newton iteration exhausted, quadrature error
+     estimate too large, bisection bracket missing the root)
   3  exact-check failure: unitarity false, a zero Yang-Baxter defect at a
      generic triple, a nonzero one-dimensional projection, or a nonzero
      delta-control defect.  These cannot happen unless the underlying
@@ -40,12 +41,12 @@ from .bethe import (
     ground_state_scan, solve_bethe, solve_lieb_liniger,
 )
 from .nonrel import (
-    RelativisticParams, coleman_check, coleman_full_product, coupling_maps,
-    dispersion_scan, vertex_expansion_scan,
+    coleman_check, coleman_full_product, coupling_maps, dispersion_scan,
+    vertex_expansion_scan,
 )
 from .regularize import (
-    bound_state_energy_via_regularization, closed_form, extrapolate_integral,
-    regularized_table,
+    bound_state_energy_via_regularization, closed_form, node_ratio,
+    regularized_integral, richardson,
 )
 from .twobody import (
     Parity, bound_state, eval_two_body, eval_two_body_derivative,
@@ -56,7 +57,7 @@ from .yang_baxter import (
     delta_variant, sign_projection, trivial_projection, yb_defect,
 )
 
-__all__ = ["COMMANDS", "main", "run"]
+__all__ = ["COMMANDS", "main"]
 
 
 class UsageError(Exception):
@@ -70,6 +71,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite(text: str) -> float:
+    # nan and inf parse as floats, but no operation is defined at them and
+    # NaN is not JSON; argparse prefixes the message with the flag's name
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+_finite.__name__ = "float"   # argparse's "invalid float value: ..." names the type
+
+
 def _list_of(kind, noun: str):
     def parse(text: str) -> list:
         try:
@@ -79,7 +92,7 @@ def _list_of(kind, noun: str):
     return parse
 
 
-_float_list = _list_of(float, "float")
+_float_list = _list_of(_finite, "float")
 _int_list = _list_of(int, "integer")
 
 
@@ -303,8 +316,7 @@ def _cmd_dispersion_scan(args):
 
 
 def _cmd_coupling_maps(args):
-    maps = coupling_maps(RelativisticParams(m=args.m, c=args.c, g=args.g, beta=args.beta,
-                                            gB=args.g_b))
+    maps = coupling_maps(g=args.g, beta=args.beta, m=args.m, c=args.c, g_b=args.g_b)
     cross = abs(maps["cB_from_sg"] - maps["cB_from_phi4"])
     return {**maps, "cB_cross_check_abs_diff": cross}, None, 0
 
@@ -317,10 +329,12 @@ def _cmd_coleman(args):
 
 
 def _cmd_reg_integral(args):
-    rows = [{"epsilon": point.epsilon, "value": point.value,
-             "closed_form": closed_form(args.lam, args.e_abs, point.epsilon)}
-            for point in regularized_table(args.lam, args.e_abs, args.epsilons)]
-    extrapolated = extrapolate_integral(args.lam, args.e_abs, args.epsilons)
+    values = [regularized_integral(args.lam, args.e_abs, eps) for eps in args.epsilons]
+    rows = [{"epsilon": eps, "value": value,
+             "closed_form": closed_form(args.lam, args.e_abs, eps)}
+            for eps, value in zip(args.epsilons, values)]
+    # extrapolate_integral's limit, from the values computed once above
+    extrapolated = richardson(values, step_ratio=node_ratio(args.epsilons))
     limit = -2.0 * args.lam * math.sqrt(args.e_abs)
     return {"rows": rows, "extrapolated": extrapolated, "epsilon_zero_limit": limit,
             "extrapolation_abs_error": abs(extrapolated - limit)}, rows, 0
@@ -351,8 +365,8 @@ _OUTPUT = [
                       help="output path (default stdout; MOMGAS_OUTPUT overrides the default)")),
 ]
 _N = ("--n", dict(type=int, required=True))
-_BOX = ("--box", dict(type=float, required=True))
-_LAMBDA = ("--lambda", dict(dest="lam", type=float, required=True))
+_BOX = ("--box", dict(type=_finite, required=True))
+_LAMBDA = ("--lambda", dict(dest="lam", type=_finite, required=True))
 _SITE_UV = [("--i", dict(type=int, default=1)),
             ("--u", dict(type=_rational, required=True)),
             ("--v", dict(type=_rational, required=True))]
@@ -361,7 +375,7 @@ _NEWTON = [
     ("--quantum-numbers", dict(type=_float_list, default=None,
                                help="comma-separated (use --quantum-numbers=-1.5,... "
                                     "for a leading minus)")),
-    ("--tol", dict(type=float, default=1e-13)),
+    ("--tol", dict(type=_finite, default=1e-13)),
     ("--max-iter", dict(type=int, default=200)),
 ]
 _ETA_CHOICES = ["0", "pi"]
@@ -371,7 +385,7 @@ COMMANDS = {
     "two-body": Command(
         "two-body scattering state and its contact conditions",
         [("--parity", dict(choices=["even", "odd"], required=True)),
-         ("--k", dict(type=float, required=True)),
+         ("--k", dict(type=_finite, required=True)),
          _LAMBDA,
          ("--x", dict(type=_float_list, default=None, help="comma-separated sample points"))],
         _cmd_two_body,
@@ -388,7 +402,7 @@ COMMANDS = {
         _cmd_bethe_solve, _SOLVE_COLUMNS),
     "ll-solve": Command(
         "solve the dual delta-gas equations",
-        [_N, _BOX, ("--c", dict(type=float, required=True)),
+        [_N, _BOX, ("--c", dict(type=_finite, required=True)),
          ("--eta", dict(choices=_ETA_CHOICES, default="0")), *_NEWTON],
         _cmd_ll_solve, _SOLVE_COLUMNS),
     "duality": Command(
@@ -406,7 +420,7 @@ COMMANDS = {
         "draw,lam,max_derivative_jump,max_value_jump_defect,schrodinger_residual"),
     "gs-scan": Command(
         "ground-state energy density vs particle number",
-        [("--rho", dict(type=float, required=True)), _LAMBDA,
+        [("--rho", dict(type=_finite, required=True)), _LAMBDA,
          ("--sizes", dict(type=_int_list, required=True,
                           help="comma-separated particle numbers, increasing"))],
         _cmd_gs_scan, "n,box_length,energy,energy_density"),
@@ -427,25 +441,25 @@ COMMANDS = {
         _cmd_vertex_scan, "mc,v_exact,v_leading,rel_error"),
     "dispersion-scan": Command(
         "dispersion expansion remainder vs mc",
-        [("--k", dict(type=float, default=1.0)), _MC_VALUES],
+        [("--k", dict(type=_finite, default=1.0)), _MC_VALUES],
         _cmd_dispersion_scan, "mc,energy,remainder"),
     "coupling-maps": Command(
         "relativistic-to-contact coupling maps",
-        [("--g", dict(type=float, required=True)),
-         ("--beta", dict(type=float, required=True)),
-         ("--m", dict(type=float, default=1.0)),
-         ("--c", dict(type=float, default=1.0)),
-         ("--g-b", dict(dest="g_b", type=float, default=None,
+        [("--g", dict(type=_finite, required=True)),
+         ("--beta", dict(type=_finite, required=True)),
+         ("--m", dict(type=_finite, default=1.0)),
+         ("--c", dict(type=_finite, default=1.0)),
+         ("--g-b", dict(dest="g_b", type=_finite, default=None,
                         help="explicit quartic coupling (default: derived)"))],
         _cmd_coupling_maps,
         "g,beta,m,c,lambda_from_thirring,cB_from_sg,cB_from_phi4,cB_cross_check_abs_diff"),
     "coleman": Command(
         "strong-coupling duality product lambda * c_B",
-        [("--g", dict(type=float, required=True)), ("--c", dict(type=float, default=1.0))],
+        [("--g", dict(type=_finite, required=True)), ("--c", dict(type=_finite, default=1.0))],
         _cmd_coleman, "g,c,product,full_product,abs_error"),
     "reg-integral": Command(
         "regularized self-consistency integral vs epsilon",
-        [_LAMBDA, ("--e-abs", dict(dest="e_abs", type=float, required=True)),
+        [_LAMBDA, ("--e-abs", dict(dest="e_abs", type=_finite, required=True)),
          ("--epsilons", dict(type=_float_list, default=[0.2, 0.1, 0.05],
                              help="geometric nodes, largest first"))],
         _cmd_reg_integral, "epsilon,value,closed_form"),
@@ -483,9 +497,6 @@ def main(argv=None) -> int:
         text = _render_json(args.command, args, results)
     _write_output(text, args.output or os.environ.get("MOMGAS_OUTPUT"))
     return code
-
-
-run = main
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RelativisticParams", "BogoliubovPair",
+    "BogoliubovPair",
     "dispersion", "dispersion_remainder", "dispersion_scan",
     "bogoliubov",
     "vertex_exact", "vertex_leading", "vertex_expansion_scan",
@@ -43,27 +43,6 @@ __all__ = [
 def _check_mass_speed(m: float, c: float) -> None:
     if m <= 0 or c <= 0:
         raise ValueError("mass and speed of light must be positive")
-
-
-@dataclass(frozen=True)
-class RelativisticParams:
-    """Parameter bundle of the relativistic model."""
-    m: float
-    c: float
-    g: float | None = None
-    beta: float | None = None
-    gB: float | None = None
-
-    def __post_init__(self):
-        _check_mass_speed(self.m, self.c)
-
-    @property
-    def mc(self) -> float:
-        return self.m * self.c
-
-    @property
-    def rest_energy(self) -> float:
-        return self.m * self.c * self.c
 
 
 @dataclass(frozen=True)
@@ -87,11 +66,21 @@ def dispersion_remainder(k: float, m: float, c: float) -> float:
 
 
 def loglog_slope(x, y) -> float:
-    """Least-squares slope of log|y| against log x."""
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.abs(np.asarray(y, dtype=float)))
-    if len(lx) < 2:
-        raise ValueError("need at least two points for a slope")
+    """Least-squares slope of log|y| against log x.
+
+    A line through fewer than two distinct x values is not determined, and
+    log|y| is -inf where y = 0: both raise instead of returning a NaN or a
+    rank-deficient fit.
+    """
+    x = [float(v) for v in x]
+    y = [float(v) for v in y]
+    if len(set(x)) < 2:
+        raise ValueError(f"a log-log slope needs at least two distinct x values, got {x}")
+    zeros = [xi for xi, yi in zip(x, y) if yi == 0.0]
+    if zeros:
+        raise ValueError(f"a log-log slope needs nonzero y values, got y = 0 at x = {zeros}")
+    lx = np.log(np.asarray(x))
+    ly = np.log(np.abs(np.asarray(y)))
     return float(np.polyfit(lx, ly, 1)[0])
 
 
@@ -191,29 +180,40 @@ def sine_gordon_taylor_coeff(n: int, m: float, c: float, beta: float) -> float:
     return (-1.0) ** (n - 1) * (m * c) ** 2 * beta ** (2 * n - 2) / math.factorial(2 * n)
 
 
-def coupling_maps(params: RelativisticParams) -> dict:
+def coupling_maps(*, g: float, beta: float, m: float, c: float,
+                  g_b: float | None = None) -> dict:
     """The three coupling maps into the contact-gas language (2m = 1 units):
 
       lambda_from_thirring = -g/c^2
       cB_from_sg           = -(beta c/4)^2
       cB_from_phi4         = 3 g_B/(2 m^2), with g_B the n = 2 cosine
                              coefficient -(mc)^2 beta^2/4! unless an explicit
-                             gB was supplied.
+                             g_b is given.
 
     The two c_B routes agree identically: the mass cancels from the phi^4
     route once g_B carries its (mc)^2 prefactor.
     """
-    if params.g is None:
-        raise ValueError("coupling_maps needs the fermion coupling g")
-    if params.beta is None:
-        raise ValueError("coupling_maps needs the cosine-potential coupling beta")
-    g_b = params.gB if params.gB is not None else sine_gordon_taylor_coeff(
-        2, params.m, params.c, params.beta)
+    _check_mass_speed(m, c)
+    if g_b is None:
+        g_b = sine_gordon_taylor_coeff(2, m, c, beta)
     return {
-        "lambda_from_thirring": -params.g / params.c ** 2,
-        "cB_from_sg": -(params.beta * params.c / 4.0) ** 2,
-        "cB_from_phi4": 3.0 * g_b / (2.0 * params.m ** 2),
+        "lambda_from_thirring": -g / c ** 2,
+        "cB_from_sg": -(beta * c / 4.0) ** 2,
+        "cB_from_phi4": 3.0 * g_b / (2.0 * m ** 2),
     }
+
+
+def _lam_times_cb(g: float, c: float, denominator: float) -> float:
+    # lam * c_B at beta^2 = 4 pi^2/denominator, once g and c are checked
+    if g <= 0:
+        raise ValueError("the duality argument applies to g > 0 "
+                         "(attractive contact coupling lam < 0)")
+    if c <= 0:
+        raise ValueError("speed of light must be positive")
+    lam = -g / c ** 2
+    beta_sq = 4.0 * math.pi ** 2 / denominator
+    c_b = -beta_sq * c ** 2 / 16.0
+    return lam * c_b
 
 
 def coleman_check(g: float, c: float) -> float:
@@ -223,25 +223,10 @@ def coleman_check(g: float, c: float) -> float:
     1 + g/pi with the 1 dropped, the limit relevant for g -> infinity) give
     c_B = -(beta c/4)^2 and lam * c_B = pi^2/4 for every g > 0 and c > 0.
     """
-    if g <= 0:
-        raise ValueError("the duality argument applies to g > 0 "
-                         "(attractive contact coupling lam < 0)")
-    if c <= 0:
-        raise ValueError("speed of light must be positive")
-    lam = -g / c ** 2
-    beta_sq = 4.0 * math.pi ** 2 / g
-    c_b = -beta_sq * c ** 2 / 16.0
-    return lam * c_b
+    return _lam_times_cb(g, c, g)
 
 
 def coleman_full_product(g: float, c: float) -> float:
     """Same product without dropping the 1: beta^2 = 4 pi^2/(pi + g), so
     lam * c_B = pi^2 g/(4 (pi + g)), approaching pi^2/4 as g grows."""
-    if g <= 0:
-        raise ValueError("the duality argument applies to g > 0")
-    if c <= 0:
-        raise ValueError("speed of light must be positive")
-    lam = -g / c ** 2
-    beta_sq = 4.0 * math.pi ** 2 / (math.pi + g)
-    c_b = -beta_sq * c ** 2 / 16.0
-    return lam * c_b
+    return _lam_times_cb(g, c, math.pi + g)

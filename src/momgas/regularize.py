@@ -24,27 +24,17 @@ energy E = -1/(4 lam^2) without ever touching the divergent eps = 0 form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.integrate import quad
 
 from .bethe import ConvergenceError
 
 __all__ = [
-    "RegularizedIntegral",
     "closed_form", "constant_piece_cesaro",
-    "regularized_integral", "regularized_table",
+    "regularized_integral", "node_ratio",
     "richardson", "extrapolate_integral",
     "bound_state_energy_via_regularization",
 ]
-
-
-@dataclass(frozen=True)
-class RegularizedIntegral:
-    """One point of the regularized integral: I(epsilon, |E|) at a coupling."""
-    epsilon: float
-    e_abs: float
-    value: float
 
 
 def _validate(lam: float, e_abs: float, epsilon: float) -> None:
@@ -105,13 +95,6 @@ def regularized_integral(lam: float, e_abs: float, epsilon: float,
     return -(4.0 * lam * e_abs / math.pi) * lorentz
 
 
-def regularized_table(lam: float, e_abs: float, epsilons) -> list[RegularizedIntegral]:
-    """I(eps, |E|) for each eps, as value objects (the CSV hand-off shape)."""
-    return [RegularizedIntegral(epsilon=float(e), e_abs=float(e_abs),
-                                value=regularized_integral(lam, e_abs, float(e)))
-            for e in epsilons]
-
-
 def richardson(values, step_ratio: float = 2.0) -> float:
     """Neville-style Richardson limit of a sequence f(h), f(h/r), f(h/r^2), ...
 
@@ -134,7 +117,9 @@ def richardson(values, step_ratio: float = 2.0) -> float:
     return table[-1]
 
 
-def _node_ratio(epsilons) -> float:
+def node_ratio(epsilons) -> float:
+    """Common ratio of geometric epsilon nodes, largest first: the step
+    ratio `richardson` extrapolates the nodes' integrals with."""
     eps = [float(e) for e in epsilons]
     if len(eps) < 2:
         raise ValueError("need at least two epsilon nodes")
@@ -153,7 +138,7 @@ def extrapolate_integral(lam: float, e_abs: float,
     """eps -> 0 Richardson limit of the regularized integral over the given
     geometric epsilon nodes (largest first).  Converges to the closed form's
     limit -2 lam sqrt(|E|)."""
-    ratio = _node_ratio(epsilons)
+    ratio = node_ratio(epsilons)
     vals = [regularized_integral(lam, e_abs, float(e)) for e in epsilons]
     return richardson(vals, step_ratio=ratio)
 
@@ -183,7 +168,11 @@ def bound_state_energy_via_regularization(lam: float, rel_tol: float = 1e-12,
     lo = 1e-4 * hi
     f_lo, f_hi = target(lo), target(hi)
     if not (f_lo < 0 < f_hi):
-        raise RuntimeError("bisection bracket failed to straddle the root")
+        raise ConvergenceError(
+            f"bisection bracket |E| in [{lo:g}, {hi:g}] does not straddle the "
+            f"root at lam = {lam:g}: I(|E|) - 1 is {f_lo:g} and {f_hi:g} at its "
+            f"ends, not negative then positive"
+        )
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
         if target(mid) < 0:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "GaussianRational", "GroupAlgebraElement", "YangOperator", "DefectResult",
+    "GaussianRational", "GroupAlgebraElement", "DefectResult",
     "compose", "perm_sign", "regular_rep",
     "yang_op", "check_unitarity", "yb_defect",
     "delta_yang_op", "delta_variant", "delta_control_defect",
@@ -283,29 +283,11 @@ def _transposition(i: int, n: int) -> tuple[int, ...]:
     return tuple(t)
 
 
-@dataclass(frozen=True)
-class YangOperator:
-    """Exchange operator Y_i(u) = (iu - (1/lam) T_i) / (iu - 1/lam); `matrix`
-    is the group-algebra element, i.e. row 0 of the operator's matrix."""
-    n: int
-    site: int
-    u: Fraction
-    inv_lam: Fraction
-    matrix: GroupAlgebraElement
-
-    def trivial_scalar(self) -> GaussianRational:
-        """Action on the boson sector (T_i -> +1): always 1."""
-        num = GR_I * self.u - GaussianRational.of(self.inv_lam)
-        return num / num
-
-    def sign_scalar(self) -> GaussianRational:
-        """Action on the fermion sector (T_i -> -1): (iu + 1/lam)/(iu - 1/lam)."""
-        c = GaussianRational.of(self.inv_lam)
-        return (GR_I * self.u + c) / (GR_I * self.u - c)
-
-
-def yang_op(i: int, u, lam, n: int) -> YangOperator:
-    """Build Y_i(u) exactly for rational u and lam (lam != 0)."""
+def yang_op(i: int, u, lam, n: int) -> GroupAlgebraElement:
+    """Y_i(u) = (iu - (1/lam) T_i) / (iu - 1/lam), exactly, for rational u and
+    lam != 0.  Its scalar actions on the boson and fermion sectors
+    (T_i -> +1, -1) are its trivial_projection, 1, and its sign_projection,
+    (iu + 1/lam)/(iu - 1/lam)."""
     _check_n(n)
     u = _fraction(u)
     lam = _fraction(lam)
@@ -315,8 +297,7 @@ def yang_op(i: int, u, lam, n: int) -> YangOperator:
     t = regular_rep(_transposition(i, n), n)
     denom = GR_I * u - GaussianRational.of(inv_lam)   # nonzero: u real, 1/lam != 0
     ident = GroupAlgebraElement.identity(n)
-    matrix = (ident.scale(GR_I * u) + t.scale(-GaussianRational.of(inv_lam))).scale(GR_ONE / denom)
-    return YangOperator(n=n, site=i, u=u, inv_lam=inv_lam, matrix=matrix)
+    return (ident.scale(GR_I * u) + t.scale(-GaussianRational.of(inv_lam))).scale(GR_ONE / denom)
 
 
 def _is_unitary(y, u, n: int) -> bool:
@@ -327,7 +308,7 @@ def _is_unitary(y, u, n: int) -> bool:
 
 def check_unitarity(i: int, u, lam, n: int) -> bool:
     """Exact truth of Y_i(-u) Y_i(u) = identity."""
-    return _is_unitary(lambda arg: yang_op(i, arg, lam, n).matrix, u, n)
+    return _is_unitary(lambda arg: yang_op(i, arg, lam, n), u, n)
 
 
 def trivial_projection(m: GroupAlgebraElement) -> GaussianRational:
@@ -382,26 +363,20 @@ def yb_defect(i: int, u, v, lam, n: int) -> DefectResult:
     Nonzero at generic (u, v): the exchange phase i/(u lam) is not additive
     in u, which is what the Yang-Baxter relation would require.
     """
-    d = _triple_defect(lambda site, arg: yang_op(site, arg, lam, n).matrix,
-                       i, u, v, n, "yb_defect")
+    d = _triple_defect(lambda site, arg: yang_op(site, arg, lam, n), i, u, v, n, "yb_defect")
     max_entry, max_pos = d.max_abs_entry()
     return DefectResult(matrix=d, max_entry=max_entry, max_position=max_pos)
 
 
-def delta_yang_op(i: int, u, c, n: int,
-                  variant: tuple[int, int] | None = None) -> GroupAlgebraElement:
-    """Delta-interaction exchange operator (s_u u T_i + s_c ic) / (u - ic).
-
-    variant = (s_u, s_c); None uses the convention delta_variant().
-    """
+def delta_yang_op(i: int, u, c, n: int) -> GroupAlgebraElement:
+    """Delta-interaction exchange operator (s_u u T_i + s_c ic) / (u - ic)
+    in the sign convention (s_u, s_c) = delta_variant()."""
     _check_n(n)
     u = _fraction(u)
     c = _fraction(c)
     if c == 0:
         raise ValueError("c must be nonzero")
-    if variant is None:
-        variant = delta_variant()
-    s_u, s_c = variant
+    s_u, s_c = delta_variant()
     t = regular_rep(_transposition(i, n), n)
     denom = GaussianRational.of(u) - GR_I * c
     ident = GroupAlgebraElement.identity(n)
@@ -409,10 +384,9 @@ def delta_yang_op(i: int, u, c, n: int,
     return num.scale(GR_ONE / denom)
 
 
-def check_delta_unitarity(i: int, u, c, n: int,
-                          variant: tuple[int, int] | None = None) -> bool:
+def check_delta_unitarity(i: int, u, c, n: int) -> bool:
     """Exact truth of Y^d_i(-u) Y^d_i(u) = identity."""
-    return _is_unitary(lambda arg: delta_yang_op(i, arg, c, n, variant), u, n)
+    return _is_unitary(lambda arg: delta_yang_op(i, arg, c, n), u, n)
 
 
 def delta_variant() -> tuple[int, int]:
@@ -428,6 +402,5 @@ def delta_variant() -> tuple[int, int]:
 def delta_control_defect(i: int, u, v, c, n: int) -> GroupAlgebraElement:
     """Yang-Baxter defect of the delta-interaction operator: exactly the zero
     element (the solvable control for yb_defect)."""
-    variant = delta_variant()
-    return _triple_defect(lambda site, arg: delta_yang_op(site, arg, c, n, variant=variant),
+    return _triple_defect(lambda site, arg: delta_yang_op(site, arg, c, n),
                           i, u, v, n, "delta control")

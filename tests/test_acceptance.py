@@ -30,7 +30,7 @@ import time
 from fractions import Fraction
 
 from momgas.bethe import duality_check, gaudin_residual_scan, ground_state_scan
-from momgas.nonrel import coupling_maps, RelativisticParams, coleman_check, \
+from momgas.nonrel import coupling_maps, coleman_check, \
     vertex_exact, vertex_expansion_scan
 from momgas.regularize import bound_state_energy_via_regularization
 from momgas.twobody import bound_state
@@ -217,8 +217,7 @@ def test_acceptance_6_coleman_constant(capsys):
         c = rng.uniform(0.1, 10.0)
         worst_product = max(worst_product, abs(coleman_check(g, c) - target))
         beta = math.sqrt(4.0 * math.pi ** 2 / g)
-        maps = coupling_maps(RelativisticParams(m=rng.uniform(0.2, 5.0), c=c,
-                                                g=g, beta=beta))
+        maps = coupling_maps(g=g, beta=beta, m=rng.uniform(0.2, 5.0), c=c)
         worst_routes = max(worst_routes,
                            abs(maps["cB_from_sg"] - maps["cB_from_phi4"])
                            / abs(maps["cB_from_sg"]))

@@ -12,13 +12,18 @@ import pytest
 
 import momgas
 from momgas import __version__
-from momgas.cli import COMMANDS, main, run
+from momgas.cli import COMMANDS, main
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def run_json(capsys, argv):
+    # strict JSON: NaN and Infinity are Python extensions, not JSON
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +57,6 @@ def test_subcommand_record_shape(capsys, command):
     assert record["command"] == command
     assert "output" not in record["params"]
     assert isinstance(record["results"], dict)
-
-
-def test_run_is_main():
-    assert run is main
 
 
 def test_module_entry_point_prints_the_record(capsys):
@@ -150,6 +151,15 @@ def test_quantum_numbers_flag_with_leading_minus(capsys):
     assert record["results"]["max_residual"] <= 1e-12
 
 
+def test_negative_exponent_needs_the_equals_form(capsys):
+    # argparse takes "-1e-8" for a flag (its negative-number pattern has no
+    # exponent), so the README documents --lambda=-1e-8
+    code, record = run_json(capsys, ["bound-state", "--lambda=-1e-8"])
+    assert code == 0
+    assert record["params"]["lam"] == -1e-8
+    assert record["results"]["energy"] == pytest.approx(-2.5e15, rel=1e-15)
+
+
 def test_rational_flags_survive_roundtrip(capsys):
     code, record = run_json(capsys, ["yb-check", "--n", "3", "--u", "1/3",
                                      "--v", "2/5", "--lambda", "7/2"])
@@ -176,6 +186,29 @@ def test_exit_1_on_unknown_command(capsys):
 def test_exit_1_on_malformed_number(capsys):
     assert main(["two-body", "--parity", "odd", "--k", "abc", "--lambda", "1"]) == 1
     assert main(["yb-check", "--n", "3", "--u", "x", "--v", "1", "--lambda", "1"]) == 1
+
+
+@pytest.mark.parametrize("argv,flag,text", [
+    (["two-body", "--parity", "odd", "--k", "1", "--lambda", "1", "--x", "nan"], "--x", "nan"),
+    (["bethe-solve", "--n", "3", "--box", "nan", "--lambda", "1"], "--box", "nan"),
+    (["coleman", "--g", "inf"], "--g", "inf"),
+    (["reg-integral", "--lambda", "-1", "--e-abs", "0.25", "--epsilons", "0.2,-inf"],
+     "--epsilons", "-inf"),
+])
+def test_exit_1_names_a_non_finite_float_flag(capsys, argv, flag, text):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: not a finite number: {text!r}" in captured.err
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["dispersion-scan", "--k", "0"], "nonzero y values"),
+    (["vertex-scan", "--mc-values", "10,10"], "two distinct x values"),
+])
+def test_exit_1_on_a_degenerate_slope_fit(capsys, argv, reason):
+    assert main(argv) == 1
+    assert reason in capsys.readouterr().err
 
 
 def test_exit_1_on_out_of_guard_n(capsys):
@@ -254,11 +287,60 @@ def test_exit_2_on_non_convergence(capsys):
     assert "residual" in capsys.readouterr().err
 
 
+def test_exit_2_when_the_regularized_bracket_misses_the_root(capsys):
+    assert main(["reg-bound-state", "--lambda=-1e6"]) == 2
+    err = capsys.readouterr().err
+    assert "does not straddle the root at lam = -1e+06" in err
+    assert "|E| in [1e-14, 1e-10]" in err
+
+
 def test_exit_3_when_an_exact_check_fails(capsys, monkeypatch):
     # unreachable through the real algebra; force it to pin the taxonomy
     monkeypatch.setattr("momgas.cli.check_unitarity", lambda *a: False)
     code = main(["yb-check", "--n", "3", "--u", "1", "--v", "2", "--lambda", "1"])
     assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# reg-integral: one quadrature per node, node errors unchanged
+
+
+def test_reg_integral_integrates_each_node_once(capsys, monkeypatch):
+    calls = []
+    original = momgas.regularize.regularized_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # both namespaces: the CLI's own calls and any made inside regularize
+    for module in (momgas.cli, momgas.regularize):
+        monkeypatch.setattr(module, "regularized_integral", counted)
+    code, record = run_json(capsys, ["reg-integral"] + SMOKE["reg-integral"])
+    assert code == 0
+    assert [args[2] for args in calls] == [0.2, 0.1, 0.05]
+    assert [row["epsilon"] for row in record["results"]["rows"]] == [0.2, 0.1, 0.05]
+
+
+_DIVERGENT = ("epsilon must be positive: at epsilon = 0 the integral is linearly "
+              "divergent, which is the point of the regulator")
+
+
+@pytest.mark.parametrize("epsilons,message", [
+    ("a", "argument --epsilons: not a comma-separated float list: 'a'"),
+    ("0.1", "need at least two epsilon nodes"),
+    ("", "need at least two epsilon nodes"),
+    ("0.1,0.2", "epsilon nodes must be strictly decreasing"),
+    ("0.2,0.2", "epsilon nodes must be strictly decreasing"),
+    ("0.2,0.1,0.02", "epsilon nodes must form a geometric sequence"),
+    ("0.2,-0.1", _DIVERGENT),
+    ("0.2,0", _DIVERGENT),
+    ("-0.1,-0.2", _DIVERGENT),
+])
+def test_reg_integral_names_a_bad_node_list(capsys, epsilons, message):
+    assert main(["reg-integral", "--lambda", "-1", "--e-abs", "0.25",
+                 f"--epsilons={epsilons}"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

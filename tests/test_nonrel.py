@@ -6,8 +6,7 @@ import random
 import pytest
 
 from momgas.nonrel import (
-    BogoliubovPair, RelativisticParams,
-    bogoliubov, coleman_check, coleman_full_product, coupling_maps,
+    BogoliubovPair, bogoliubov, coleman_check, coleman_full_product, coupling_maps,
     dispersion, dispersion_remainder, dispersion_scan, loglog_slope,
     sine_gordon_taylor_coeff, vertex_exact, vertex_expansion_scan,
     vertex_leading,
@@ -51,6 +50,20 @@ def test_loglog_slope_exact_on_power_law():
     assert loglog_slope(x, [v ** -3 for v in x]) == pytest.approx(-3.0, abs=1e-12)
     with pytest.raises(ValueError):
         loglog_slope([1.0], [1.0])
+
+
+def test_loglog_slope_rejects_degenerate_data():
+    # one distinct x leaves the line undetermined; y = 0 has no logarithm
+    with pytest.raises(ValueError, match=r"two distinct x values, got \[10.0, 10.0\]"):
+        loglog_slope([10.0, 10.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"nonzero y values, got y = 0 at x = \[2.0\]"):
+        loglog_slope([1.0, 2.0, 4.0], [1.0, 0.0, 3.0])
+    # the scans that fit a slope: the remainder vanishes identically at k = 0,
+    # and a repeated mc is a single point
+    with pytest.raises(ValueError, match="nonzero y values"):
+        dispersion_scan(0.0, [10.0, 20.0])
+    with pytest.raises(ValueError, match="distinct x values"):
+        vertex_expansion_scan([1.0, 2.0, 3.0, 5.0], [10.0, 10.0])
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +180,15 @@ def test_sine_gordon_quartic_coefficient():
         sine_gordon_taylor_coeff(2.0, 1.0, 1.0, 1.0)
 
 
-def test_params_defaults():
-    params = RelativisticParams(m=2.0, c=3.0)
-    assert params.mc == 6.0
-    assert params.rest_energy == 18.0
-    with pytest.raises(ValueError):
-        RelativisticParams(m=-1.0, c=1.0)
+def test_coupling_maps_rejects_nonpositive_mass_and_speed():
+    with pytest.raises(ValueError, match="mass and speed of light must be positive"):
+        coupling_maps(g=1.0, beta=1.0, m=-1.0, c=1.0)
+    with pytest.raises(ValueError, match="mass and speed of light must be positive"):
+        coupling_maps(g=1.0, beta=1.0, m=1.0, c=0.0, g_b=-3.0)
 
 
 def test_coupling_maps_trivial_points():
-    maps = coupling_maps(RelativisticParams(m=1.0, c=2.0, g=-4.0, beta=2.0))
+    maps = coupling_maps(g=-4.0, beta=2.0, m=1.0, c=2.0)
     assert maps["lambda_from_thirring"] == 1.0          # g = -c^2
     assert maps["cB_from_sg"] == -1.0                   # beta = 4/c
     assert maps["cB_from_phi4"] == pytest.approx(-1.0, rel=1e-15)
@@ -185,23 +197,24 @@ def test_coupling_maps_trivial_points():
 def test_coupling_maps_routes_agree():
     rng = random.Random(5)
     for _ in range(20):
-        params = RelativisticParams(m=rng.uniform(0.2, 5.0), c=rng.uniform(0.2, 5.0),
-                                    g=rng.uniform(-3.0, 3.0) or 1.0,
-                                    beta=rng.uniform(0.1, 4.0))
-        maps = coupling_maps(params)
+        m, c = rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0)
+        maps = coupling_maps(g=rng.uniform(-3.0, 3.0) or 1.0, beta=rng.uniform(0.1, 4.0),
+                             m=m, c=c)
         assert maps["cB_from_sg"] == pytest.approx(maps["cB_from_phi4"], rel=1e-12)
 
 
 def test_coupling_maps_honors_explicit_quartic_coupling():
-    params = RelativisticParams(m=1.0, c=1.0, g=1.0, beta=1.0, gB=-3.0)
-    assert coupling_maps(params)["cB_from_phi4"] == pytest.approx(-4.5)
+    maps = coupling_maps(g=1.0, beta=1.0, m=1.0, c=1.0, g_b=-3.0)
+    assert maps["cB_from_phi4"] == pytest.approx(-4.5)
 
 
 def test_coupling_maps_requires_both_couplings():
-    with pytest.raises(ValueError):
-        coupling_maps(RelativisticParams(m=1.0, c=1.0, beta=1.0))
-    with pytest.raises(ValueError):
-        coupling_maps(RelativisticParams(m=1.0, c=1.0, g=1.0))
+    with pytest.raises(TypeError, match="'g'"):
+        coupling_maps(beta=1.0, m=1.0, c=1.0)
+    with pytest.raises(TypeError, match="'beta'"):
+        coupling_maps(g=1.0, m=1.0, c=1.0)
+    with pytest.raises(TypeError):
+        coupling_maps(1.0, 1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +239,8 @@ def test_coleman_rejects_bad_couplings():
         coleman_check(1.0, -1.0)
     with pytest.raises(ValueError):
         coleman_full_product(-1.0, 1.0)
+    with pytest.raises(ValueError):
+        coleman_full_product(1.0, 0.0)
 
 
 def test_coleman_full_product():

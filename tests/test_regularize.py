@@ -3,13 +3,14 @@ extrapolation, and the bound-state root-solve."""
 
 import math
 import random
+import re
 
 import pytest
 
+from momgas.bethe import ConvergenceError
 from momgas.regularize import (
-    RegularizedIntegral, bound_state_energy_via_regularization, closed_form,
-    constant_piece_cesaro, extrapolate_integral, regularized_integral,
-    regularized_table, richardson,
+    bound_state_energy_via_regularization, closed_form, constant_piece_cesaro,
+    extrapolate_integral, node_ratio, regularized_integral, richardson,
 )
 
 
@@ -54,15 +55,6 @@ def test_regulator_is_mandatory():
         regularized_integral(-1.0, 0.0, 0.1)
     with pytest.raises(ValueError):
         regularized_integral(0.0, 1.0, 0.1)
-
-
-def test_table_shape():
-    table = regularized_table(-1.0, 1.0, [0.2, 0.1])
-    assert len(table) == 2
-    assert isinstance(table[0], RegularizedIntegral)
-    assert table[0].epsilon == 0.2
-    assert table[0].e_abs == 1.0
-    assert table[0].value == pytest.approx(closed_form(-1.0, 1.0, 0.2), rel=1e-10)
 
 
 def test_constant_piece_cesaro_vanishes_with_cutoff():
@@ -116,6 +108,8 @@ def test_extrapolation_documented_nodes():
 
 
 def test_extrapolation_node_validation():
+    assert node_ratio([0.2, 0.1, 0.05]) == 2.0
+    assert node_ratio((0.9, 0.3)) == pytest.approx(3.0, rel=1e-15)
     with pytest.raises(ValueError):
         extrapolate_integral(-1.0, 1.0, epsilons=(0.05, 0.1, 0.2))
     with pytest.raises(ValueError):
@@ -149,3 +143,15 @@ def test_bound_state_energy_rejects_repulsive():
         bound_state_energy_via_regularization(1.0)
     with pytest.raises(ValueError):
         bound_state_energy_via_regularization(0.0)
+
+
+def test_bound_state_energy_names_a_bracket_that_misses_the_root():
+    # at lam = -1e6 the bracket is |E| in [1e-14, 1e-10]; the quadrature's
+    # target at the lower end comes out positive (about 2.3e300)
+    with pytest.raises(ConvergenceError) as err:
+        bound_state_energy_via_regularization(-1e6)
+    message = str(err.value)
+    assert "lam = -1e+06" in message
+    assert "|E| in [1e-14, 1e-10]" in message
+    ends = re.search(r"I\(\|E\|\) - 1 is (\S+) and (\S+) at its ends", message)
+    assert float(ends.group(1)) > 0 and float(ends.group(2)) > 0

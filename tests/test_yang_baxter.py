@@ -153,17 +153,20 @@ def test_yang_op_at_zero_is_the_transposition():
             op = yang_op(i, 0, Fraction(3, 7), n)
             t = list(range(n))
             t[i - 1], t[i] = t[i], t[i - 1]
-            assert op.matrix == regular_rep(tuple(t), n)
+            assert op == regular_rep(tuple(t), n)
 
 
 def test_scalar_sectors():
+    # scalar action on the two one-dimensional invariant vectors: 1 on the
+    # boson sector, (iu + 1/lam)/(iu - 1/lam) on the fermion sector
     op = yang_op(1, 1, 1, 3)
-    assert op.trivial_scalar() == GR_ONE
-    assert op.sign_scalar() == -GR_I
-    # scalar action on the two one-dimensional invariant vectors
-    assert trivial_projection(op.matrix) == op.trivial_scalar()
-    assert sign_projection(op.matrix) == op.sign_scalar()
-    assert op.sign_scalar().abs2() == 1
+    assert trivial_projection(op) == GR_ONE
+    assert sign_projection(op) == -GR_I
+    u, inv_lam = Fraction(2, 3), Fraction(-5, 7)
+    op = yang_op(2, u, 1 / inv_lam, 4)
+    assert trivial_projection(op) == GR_ONE
+    assert sign_projection(op) == (GR_I * u + inv_lam) / (GR_I * u - inv_lam)
+    assert sign_projection(op).abs2() == 1
 
 
 def test_unitarity_holds_exactly():
@@ -308,16 +311,27 @@ def test_defect_site_range():
 # delta-interaction control
 
 
+def _signed_delta_op(i, u, c, n, s_u, s_c):
+    # (s_u u T_i + s_c ic) / (u - ic), built from the basis elements
+    t = list(range(n))
+    t[i - 1], t[i] = t[i], t[i - 1]
+    num = (regular_rep(tuple(t), n).scale(s_u * u)
+           + GroupAlgebraElement.identity(n).scale(GR_I * (s_c * c)))
+    return num.scale(GR_ONE / (GaussianRational.of(u) - GR_I * c))
+
+
 def test_delta_variant_is_plus_plus():
     assert delta_variant() == (1, 1)
+    for (i, u, c, n) in ((1, 2, 1, 3), (2, Fraction(3, 7), Fraction(-2, 5), 4)):
+        assert delta_yang_op(i, u, c, n) == _signed_delta_op(i, u, c, n, 1, 1)
 
 
 def test_every_delta_sign_variant_passes_both_exact_checks():
     # so (1, 1) is a convention: neither exact check can single it out
-    for variant in itertools.product((1, -1), repeat=2):
+    for s_u, s_c in itertools.product((1, -1), repeat=2):
         for (u, v, c, n) in ((1, 2, 1, 3), (Fraction(2, 3), Fraction(-1, 5), Fraction(9, 4), 4)):
-            y = lambda site, arg: delta_yang_op(site, arg, c, n, variant=variant)
-            assert check_delta_unitarity(1, u, c, n, variant=variant)
+            y = lambda site, arg: _signed_delta_op(site, Fraction(arg), c, n, s_u, s_c)
+            assert y(1, -u) @ y(1, u) == GroupAlgebraElement.identity(n)
             assert (y(1, v) @ y(2, u + v) @ y(1, u)
                     - y(2, u) @ y(1, v + u) @ y(2, v)).is_zero
 
@@ -337,9 +351,6 @@ def test_delta_control_defect_is_exactly_zero():
 def test_delta_unitarity():
     assert check_delta_unitarity(1, 1, 1, 3)
     assert check_delta_unitarity(2, Fraction(3, 7), Fraction(-2, 5), 4)
-    # every sign variant is unitary; the probe cannot separate them on this alone
-    for variant in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        assert check_delta_unitarity(1, 2, 3, 3, variant=variant)
 
 
 def test_delta_operator_validates_input():
