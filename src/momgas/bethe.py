@@ -68,6 +68,11 @@ __all__ = [
 # permutation enumeration is capped: N! amplitudes
 MAX_PARTICLES_ENUMERATED = 8
 
+# rows of the product-form residual evaluated at once: bounds its
+# temporaries to a few RESIDUAL_BLOCK_ROWS x N complex arrays (16 MB each
+# at N = 4096, where one N x N complex matrix would take 256 MB)
+RESIDUAL_BLOCK_ROWS = 256
+
 
 class ConvergenceError(RuntimeError):
     """Newton iteration failed to reach the requested residual."""
@@ -231,9 +236,20 @@ def _validate_quantum_numbers(qn) -> np.ndarray:
     return I
 
 
+def _newton_step(k: np.ndarray, f: np.ndarray, L: float, theta_prime) -> np.ndarray:
+    # full Newton step -J^{-1} f; its N x N temporaries are freed on return,
+    # before the damping loop allocates the residual's own
+    n = len(k)
+    d = k[:, None] - k[None, :]
+    a = theta_prime(d)
+    np.fill_diagonal(a, 0.0)
+    jac = -a
+    jac[np.diag_indices(n)] += L + a.sum(axis=1)
+    return np.linalg.solve(jac, -f)
+
+
 def _newton_log_form(I: np.ndarray, L: float, delta: float, theta, theta_prime,
                      tol: float, max_iter: int) -> np.ndarray:
-    n = len(I)
     k = (2.0 * math.pi * I + delta) / L   # free-model initial guess
 
     def residual(kv):
@@ -241,15 +257,10 @@ def _newton_log_form(I: np.ndarray, L: float, delta: float, theta, theta_prime,
         return kv * L - 2.0 * math.pi * I - delta + theta(d).sum(axis=1)
 
     f = residual(k)
-    for _ in range(max_iter):
+    for it in range(max_iter):
         if np.max(np.abs(f)) <= tol:
             return k
-        d = k[:, None] - k[None, :]
-        a = theta_prime(d)
-        np.fill_diagonal(a, 0.0)
-        jac = -a
-        jac[np.diag_indices(n)] += L + a.sum(axis=1)
-        step = np.linalg.solve(jac, -f)
+        step = _newton_step(k, f, L, theta_prime)
         scale = 1.0
         norm0 = np.max(np.abs(f))
         # step halving until the residual norm decreases
@@ -260,7 +271,15 @@ def _newton_log_form(I: np.ndarray, L: float, delta: float, theta, theta_prime,
                 break
             scale *= 0.5
         else:
-            raise ConvergenceError("damping failed to reduce the residual")
+            # no shorter step lowers the norm: the usual cause is a tolerance
+            # below the float64 rounding of the log form, which grows with |k L|
+            floor = np.finfo(float).eps * np.max(np.abs(k * L))
+            raise ConvergenceError(
+                f"Newton iteration stalled at step {it + 1}: residual norm "
+                f"{norm0:.3g} stays above tol {tol:g} under every damped step; "
+                f"the float64 rounding floor of the log form is of order "
+                f"eps * max|k L| = {floor:.2g}"
+            )
         k, f = trial, ftrial
     if np.max(np.abs(f)) <= tol:
         return k
@@ -355,6 +374,15 @@ def bethe_residuals(state: BetheState) -> np.ndarray:
     Fermion: exp(i k_j L) vs (-1)^N e^{i eta} prod_{l != j}
     (k_j - k_l + i/lam)/(k_j - k_l - i/lam); boson: exp(i k_j L) vs
     e^{i eta} prod_{l != j} (k_j - k_l + i c)/(k_j - k_l - i c).
+
+    The product form shares no code with the log-form Newton solver, so it
+    checks the roots independently.  Rows j are evaluated in blocks of
+    RESIDUAL_BLOCK_ROWS: each block builds its factor matrix, sets the
+    l = j entries to exactly 1 and multiplies each row from left to right,
+    so temporaries stay O(RESIDUAL_BLOCK_ROWS * N) and no N x N array is
+    allocated for N above the block size.  The modulus is taken with
+    hypot, which rounds like the scalar complex abs; the result is bit for
+    bit that of the plain double loop over j and l.
     """
     k = np.asarray(state.momenta)
     n = len(k)
@@ -367,14 +395,15 @@ def bethe_residuals(state: BetheState) -> np.ndarray:
         c = state.coupling
         prefactor = phase
     out = np.empty(n)
-    for j in range(n):
-        rhs = prefactor + 0j
-        for l in range(n):
-            if l != j:
-                d = k[j] - k[l]
-                rhs *= (d + 1j * c) / (d - 1j * c)
-        lhs = np.exp(1j * k[j] * L)
-        out[j] = abs(lhs / rhs - 1.0)
+    for start in range(0, n, RESIDUAL_BLOCK_ROWS):
+        rows = np.arange(start, min(start + RESIDUAL_BLOCK_ROWS, n))
+        d = k[rows, None] - k[None, :]
+        factors = d + 1j * c
+        factors /= d - 1j * c
+        factors[np.arange(len(rows)), rows] = 1.0
+        rhs = prefactor * factors.prod(axis=1)
+        z = np.exp(1j * k[rows] * L) / rhs - 1.0
+        out[rows] = np.hypot(z.real, z.imag)
     return out
 
 

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.integrate import quad
-
 from .bethe import ConvergenceError
 
 __all__ = [
@@ -80,6 +78,10 @@ def regularized_integral(lam: float, e_abs: float, epsilon: float,
     oscillatory quadrature.
     """
     _validate(lam, e_abs, epsilon)
+    # imported here, not at module level: scipy.integrate takes most of a
+    # cold `import momgas`, and only this function needs it
+    from scipy.integrate import quad
+
     # full_output suppresses the spurious slow-cycle warning; trust the
     # returned error estimate instead (checked against the closed form in tests)
     out = quad(lambda q: 1.0 / (q * q + e_abs), 0.0, math.inf,

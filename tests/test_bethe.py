@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from momgas.bethe import (
-    MAX_PARTICLES_ENUMERATED, BetheWavefunction, ConvergenceError, _mp_wedge_values,
+    MAX_PARTICLES_ENUMERATED, RESIDUAL_BLOCK_ROWS, BetheWavefunction, ConvergenceError,
+    _mp_wedge_values,
     bethe_residuals, duality_check, eval_gradient, eval_wavefunction,
     gaudin_amplitudes, gaudin_residual_scan,
     gaudin_wavefunction, ground_state_quantum_numbers, ground_state_scan,
@@ -277,6 +280,78 @@ def test_solved_states_have_small_multiplicative_residuals():
     assert bethe_residuals(boson).max() <= 1e-12
 
 
+def _loop_bethe_residuals(state):
+    # the product-form residual as a plain double loop over j and l: the
+    # reference that the blocked bethe_residuals must equal bit for bit
+    k = np.asarray(state.momenta)
+    n = len(k)
+    L = state.box_length
+    phase = math.cos(state.boundary_phase)
+    if state.model == "fermion":
+        c = 1.0 / state.coupling
+        prefactor = phase * (-1.0) ** n
+    else:
+        c = state.coupling
+        prefactor = phase
+    out = np.empty(n)
+    for j in range(n):
+        rhs = prefactor + 0j
+        for l in range(n):
+            if l != j:
+                d = k[j] - k[l]
+                rhs *= (d + 1j * c) / (d - 1j * c)
+        lhs = np.exp(1j * k[j] * L)
+        out[j] = abs(lhs / rhs - 1.0)
+    return out
+
+
+def _seeded_ring_state(rng, n, index):
+    # both models and both eta in turn; random density and coupling; the
+    # ground-state block with a particle-hole excitation at the top and a
+    # boost of every quantum number
+    model = ("fermion", "boson")[index % 2]
+    eta = (0.0, math.pi)[index // 2 % 2]
+    qn = list(ground_state_quantum_numbers(n))
+    qn[-1] += rng.randrange(3)
+    shift = rng.randrange(-2, 3)
+    qn = [q + shift for q in qn]
+    L = n / rng.uniform(0.3, 3.0)
+    coupling = rng.uniform(0.1, 5.0)
+    if model == "fermion":
+        return solve_bethe(n, L, coupling, quantum_numbers=qn, eta=eta, tol=1e-11)
+    return solve_lieb_liniger(n, L, coupling, eta=eta, quantum_numbers=qn, tol=1e-11)
+
+
+def test_residuals_equal_the_double_loop_bit_for_bit():
+    # 300 small states, then sizes up to 300 across the row-block edge
+    block = RESIDUAL_BLOCK_ROWS
+    sizes = [1 + i % 48 for i in range(300)] + [64, 100, 200, block - 1, block,
+                                                 block + 1, 300]
+    rng = random.Random(8)
+    for index, n in enumerate(sizes):
+        state = _seeded_ring_state(rng, n, index)
+        blocked = bethe_residuals(state)
+        assert np.array_equal(blocked, _loop_bethe_residuals(state)), (index, n)
+        assert blocked.max() <= 1e-9, (index, n)
+
+
+@pytest.mark.parametrize("solver", [solve_bethe, solve_lieb_liniger])
+def test_residuals_at_n1024(solver):
+    # four row blocks; lam = c = 1 at density 1 (measured 6.3e-13)
+    n = 1024
+    state = solver(n, float(n), 1.0, tol=1e-11)
+    tracemalloc.start()
+    try:
+        residuals = bethe_residuals(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residuals.max() <= 1e-11
+    # the temporaries stay below a single N x N complex matrix
+    assert peak < n * n * np.dtype(complex).itemsize
+    assert np.array_equal(residuals, _loop_bethe_residuals(state))
+
+
 def test_excited_block_and_explicit_eta():
     state = solve_bethe(3, 10.0, 1.0, quantum_numbers=[-1.0, 0.0, 2.0], eta=math.pi)
     assert bethe_residuals(state).max() <= 1e-12
@@ -312,6 +387,19 @@ def test_solver_rejects_bad_input():
 def test_solver_signals_non_convergence():
     with pytest.raises(ConvergenceError):
         solve_bethe(4, 10.0, 5.0, max_iter=1)
+
+
+def test_stalled_newton_names_tolerance_norm_and_step():
+    # the default tol 1e-13 lies below the float64 floor of the N = 256
+    # log-form residual, and the error says so
+    with pytest.raises(ConvergenceError) as err:
+        solve_bethe(256, 256.0, 1.0)
+    message = str(err.value)
+    assert "stalled at step" in message
+    assert "above tol 1e-13" in message
+    assert "eps * max|k L|" in message
+    norm = float(message.split("residual norm ")[1].split()[0])
+    assert 1e-13 < norm < 1e-12
 
 
 @pytest.mark.parametrize("max_iter", [0, -3])

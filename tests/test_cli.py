@@ -287,6 +287,15 @@ def test_exit_2_on_non_convergence(capsys):
     assert "residual" in capsys.readouterr().err
 
 
+def test_exit_2_names_the_tolerance_when_newton_stalls(capsys):
+    # at the default tol 1e-13 the N = 256 log-form residual bottoms out
+    # near 1e-13, its float64 rounding floor
+    assert main(["bethe-solve", "--n", "256", "--box", "256", "--lambda", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "stalled at step" in err
+    assert "above tol 1e-13" in err
+
+
 def test_exit_2_when_the_regularized_bracket_misses_the_root(capsys):
     assert main(["reg-bound-state", "--lambda=-1e6"]) == 2
     err = capsys.readouterr().err

@@ -2,8 +2,12 @@
 extrapolation, and the bound-state root-solve."""
 
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,3 +159,14 @@ def test_bound_state_energy_names_a_bracket_that_misses_the_root():
     assert "|E| in [1e-14, 1e-10]" in message
     ends = re.search(r"I\(\|E\|\) - 1 is (\S+) and (\S+) at its ends", message)
     assert float(ends.group(1)) > 0 and float(ends.group(2)) > 0
+
+
+def test_importing_momgas_leaves_scipy_unloaded():
+    # scipy.integrate is imported by regularized_integral on first use; a
+    # cold `import momgas` must not pay for it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, momgas; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
