@@ -72,6 +72,15 @@ CLI_CASES = {
     "coupling_maps_csv": ["coupling-maps", "--g", "2.0", "--beta", "1.0", "--format", "csv"],
     "coleman_csv": ["coleman", "--g", "2.5", "--format", "csv"],
     "reg_bound_state_csv": ["reg-bound-state", "--lambda", "-0.5", "--format", "csv"],
+    # sgn(0) = 0 at the contact point, and odd-channel scattering at lambda < 0
+    "two_body_even_x0": ["two-body", "--parity", "even", "--k", "1.5", "--lambda", "0.5",
+                         "--x=-0.5,0,0.5"],
+    "two_body_odd_neg_x0": ["two-body", "--parity", "odd", "--k", "1.5", "--lambda=-0.5",
+                            "--x=-0.5,0,0.5"],
+    # the Schroedinger probe beyond N = 3, and the duality off the parity rule's N = 3
+    "gaudin_check_n5": ["gaudin-check", "--n", "5", "--draws", "2", "--seed", "3"],
+    "duality_n4_eta_pi": ["duality", "--n", "4", "--box", "10", "--lambda", "0.5",
+                          "--eta", "pi"],
 }
 
 
