@@ -37,9 +37,10 @@ which is strictly diagonally dominant for repulsive couplings; each model
 codes its own theta, so `duality_check` compares two independent codings of
 the same equation.
 
-Schroedinger probe.  `schrodinger_residual` builds the `gaudin_wavefunction`
-state and sums that object's own table of amplitudes and momentum rows in
-mpmath precision, so the probe checks the eigenfunction the library returns.
+Schroedinger probe.  `schrodinger_residual` takes a wavefunction, as
+`bc_residual` does, and sums that object's own table of amplitudes and
+momentum rows in mpmath precision; `gaudin_residual_scan` builds one state
+per draw and passes it to both checks.
 """
 
 from __future__ import annotations
@@ -230,7 +231,6 @@ def ground_state_quantum_numbers(n: int) -> tuple[float, ...]:
 
 def _validate_quantum_numbers(qn) -> np.ndarray:
     I = np.asarray([float(v) for v in qn], dtype=float)
-    _require_distinct(I.tolist(), "quantum numbers must be distinct")
     if not np.all(np.diff(I) > 0):
         raise ValueError("quantum numbers must be strictly increasing")
     return I
@@ -407,19 +407,17 @@ def bethe_residuals(state: BetheState) -> np.ndarray:
     return out
 
 
-def duality_check(n: int, L: float, lam: float, eta: float | None = None,
-                  quantum_numbers=None) -> dict:
-    """Solve the fermion model and the boson gas at c = 1/lam with identical
-    quantum numbers and report the root-by-root difference.
+def duality_check(n: int, L: float, lam: float, eta: float | None = None) -> dict:
+    """Solve the fermion model (lam > 0) in its ground-state block and the
+    boson gas at c = 1/lam with the same quantum numbers, and report the
+    root-by-root difference.
 
     With eta = None the fermion ring uses the parity rule (eta = 0 for even
     N, pi for odd N), under which the two root sets coincide; passing the
     opposite phase shows the macroscopic mismatch."""
-    if lam <= 0:
-        raise ValueError("duality check requires lam > 0")
     eta_used = parity_rule_eta(n) if eta is None else _validate_eta(eta)
-    qn = ground_state_quantum_numbers(n) if quantum_numbers is None else quantum_numbers
-    fermion = solve_bethe(n, L, lam, quantum_numbers=qn, eta=eta_used)
+    fermion = solve_bethe(n, L, lam, eta=eta_used)
+    qn = fermion.quantum_numbers
     boson = solve_lieb_liniger(n, L, 1.0 / lam, quantum_numbers=qn)
     diff = np.abs(np.asarray(fermion.momenta) - np.asarray(boson.momenta))
     return {
@@ -483,26 +481,25 @@ def _mp_wedge_values(wf: BetheWavefunction, points) -> list:
     return values
 
 
-def schrodinger_residual(momenta, lam: float, x, h: float = 1e-6,
-                         dps: int = 30) -> float:
-    """Relative free-Schroedinger residual of the Gaudin eigenfunction at x,
-    probed with central second differences of step h.
+def schrodinger_residual(wf: BetheWavefunction, x) -> float:
+    """Relative free-Schroedinger residual of the wavefunction wf at x,
+    probed with central second differences of step h = 1e-6.
 
-    The probe evaluates the state `gaudin_wavefunction(momenta, lam)`
-    returns, summing its plane-wave table in mpmath working precision `dps`
-    (float64 cannot resolve a 1e-6 second-difference step below ~1e-3
-    relative error).  Returns
-    |sum_m D2_m chi + E chi| / (sum_m |D2_m chi| + |E chi|),
-    which is ~h^2 * k^2 / 12 for a true eigenfunction.
+    The probe sums wf's own plane-wave table at 30 mpmath digits (float64
+    cannot resolve a 1e-6 second-difference step below ~1e-3 relative
+    error).  Returns |sum_m D2_m chi + E chi| / (sum_m |D2_m chi| + |E chi|),
+    which is ~h^2 * k^2 / 12 for a true eigenfunction.  Every plane wave of
+    the table has energy E, so any amplitude set passes; the contact
+    conditions (`bc_residual`) are what pin the amplitudes.
     """
-    wf = gaudin_wavefunction(momenta, lam)
+    h = 1e-6
     xs = _checked_coords(wf, x)
     n = wf.n
     if n > 1:
         gap = min(abs(xs[a] - xs[b]) for a in range(n) for b in range(a + 1, n))
         if gap <= 4 * h:
             raise ValueError("coordinates too close for the finite-difference step")
-    with mp.workdps(dps):
+    with mp.workdps(30):
         hh = mp.mpf(h)
         y0 = [mp.mpf(v) for v in sorted(xs)]
         points = [y0]
@@ -522,20 +519,17 @@ def schrodinger_residual(momenta, lam: float, x, h: float = 1e-6,
         return float(abs(num) / denom)
 
 
-def gaudin_residual_scan(n: int, draws: int, seed: int = 0,
-                         k_range=(-3.0, 3.0), lam_range=(0.1, 10.0),
-                         fd_step: float = 1e-6, dps: int = 30) -> list[dict]:
+def gaudin_residual_scan(n: int, draws: int, seed: int = 0) -> list[dict]:
     """Random-draw verification of the Gaudin eigenfunctions.
 
-    Per draw: random distinct momenta and coupling, contact-condition
-    defects on every adjacent hyperplane x_j = x_{j+1} (analytic one-sided
-    evaluation), and the finite-difference Schroedinger residual at a
-    random interior point.  Deterministic for a fixed seed.
+    Per draw: random distinct momenta in (-3, 3) and coupling in (0.1, 10),
+    one `gaudin_wavefunction` state, its contact-condition defects on every
+    adjacent hyperplane x_j = x_{j+1} (analytic one-sided evaluation), and
+    its finite-difference Schroedinger residual at a random interior point.
+    Deterministic for a fixed seed.
     """
     if n < 1:
         raise ValueError("need at least one particle")
-    if n > MAX_PARTICLES_ENUMERATED:
-        raise ValueError(f"N = {n} exceeds the N! enumeration guard ({MAX_PARTICLES_ENUMERATED})")
     if draws < 1:
         raise ValueError(f"need at least one draw, got draws = {draws}")
     rng = random.Random(seed)
@@ -550,8 +544,8 @@ def gaudin_residual_scan(n: int, draws: int, seed: int = 0,
 
     records = []
     for draw in range(int(draws)):
-        lam = rng.uniform(*lam_range)
-        momenta = distinct_draw(n, k_range[0], k_range[1], 1e-3)
+        lam = rng.uniform(0.1, 10.0)
+        momenta = distinct_draw(n, -3.0, 3.0, 1e-3)
         wf = gaudin_wavefunction(momenta, lam)
 
         max_deriv = 0.0
@@ -565,7 +559,7 @@ def gaudin_residual_scan(n: int, draws: int, seed: int = 0,
             max_value = max(max_value, float(abs(res.value_jump_defect)))
 
         point = distinct_draw(n, 0.0, 5.0, 5e-2)
-        fd = schrodinger_residual(momenta, lam, point, h=fd_step, dps=dps)
+        fd = schrodinger_residual(wf, point)
         records.append({
             "draw": draw,
             "n": n,

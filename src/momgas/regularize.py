@@ -69,13 +69,14 @@ def constant_piece_cesaro(lam: float, epsilon: float, cutoff: float) -> float:
     return 4.0 * lam / math.pi * (1.0 - math.cos(epsilon * cutoff)) / (epsilon ** 2 * cutoff)
 
 
-def regularized_integral(lam: float, e_abs: float, epsilon: float,
-                         epsabs: float = 1e-13) -> float:
+def regularized_integral(lam: float, e_abs: float, epsilon: float) -> float:
     """I(eps, |E|) = 4 lam int dq/(2 pi) cos(eps q) q^2/(q^2 + |E|).
 
     The constant split piece Cesaro-averages to zero; what remains is
     -(4 lam |E|/pi) int_0^inf cos(eps q)/(q^2 + |E|) dq, done by adaptive
-    oscillatory quadrature.
+    oscillatory quadrature to absolute error 1e-13.  A quadrature whose
+    error estimate is large, or whose value exceeds pi/(2 sqrt|E|), the
+    integral of the integrand's modulus, raises `ConvergenceError`.
     """
     _validate(lam, e_abs, epsilon)
     # imported here, not at module level: scipy.integrate takes most of a
@@ -85,7 +86,7 @@ def regularized_integral(lam: float, e_abs: float, epsilon: float,
     # full_output suppresses the spurious slow-cycle warning; trust the
     # returned error estimate instead (checked against the closed form in tests)
     out = quad(lambda q: 1.0 / (q * q + e_abs), 0.0, math.inf,
-               weight="cos", wvar=epsilon, epsabs=epsabs, limit=200,
+               weight="cos", wvar=epsilon, epsabs=1e-13, limit=200,
                full_output=1)
     lorentz, abserr = out[0], out[1]
     # catastrophe net only; accuracy is pinned against the closed form in tests
@@ -93,6 +94,15 @@ def regularized_integral(lam: float, e_abs: float, epsilon: float,
         raise ConvergenceError(
             f"oscillatory quadrature error estimate {abserr:g} too large at "
             f"epsilon = {epsilon:g}, |E| = {e_abs:g}"
+        )
+    # |int cos(eps q)/(q^2 + |E|) dq| <= int 1/(q^2 + |E|) dq: an error
+    # estimate relative to the value itself cannot catch a huge wrong value
+    bound = math.pi / (2.0 * math.sqrt(e_abs))
+    if abs(lorentz) > bound:
+        raise ConvergenceError(
+            f"oscillatory quadrature returned {lorentz:g}, above the modulus "
+            f"bound pi/(2 sqrt|E|) = {bound:g}, at epsilon = {epsilon:g}, "
+            f"|E| = {e_abs:g}"
         )
     return -(4.0 * lam * e_abs / math.pi) * lorentz
 
@@ -145,15 +155,15 @@ def extrapolate_integral(lam: float, e_abs: float,
     return richardson(vals, step_ratio=ratio)
 
 
-def bound_state_energy_via_regularization(lam: float, rel_tol: float = 1e-12,
-                                          node_scale: float = 2e-4) -> float:
+def bound_state_energy_via_regularization(lam: float) -> float:
     """Bound-state energy from the regularized route alone.
 
-    Solves 1 = I_extrapolated(|E|) by bisection on |E| in (0, 100/lam^2];
-    the left side is monotone in |E| so the root is unique.  The epsilon
-    nodes are rescaled per candidate |E| (eps = node_scale * {4, 2, 1} /
-    sqrt(|E|)) so the extrapolation error stays ~ (node_scale)^3 at every
-    bracket point.  Returns E = -|E|, matching -1/(4 lam^2).
+    Solves 1 = I_extrapolated(|E|) by bisection on |E| in (0, 100/lam^2],
+    to relative width 1e-12; the left side is monotone in |E| so the root
+    is unique.  The epsilon nodes are rescaled per candidate |E|
+    (eps = 2e-4 * {4, 2, 1} / sqrt(|E|)) so the extrapolation error stays
+    ~ (2e-4)^3 at every bracket point.  Returns E = -|E|, matching
+    -1/(4 lam^2).
     """
     if lam >= 0:
         raise ValueError(
@@ -162,7 +172,7 @@ def bound_state_energy_via_regularization(lam: float, rel_tol: float = 1e-12,
         )
 
     def target(e_abs: float) -> float:
-        s = node_scale / math.sqrt(e_abs)
+        s = 2e-4 / math.sqrt(e_abs)
         return extrapolate_integral(lam, e_abs, (4 * s, 2 * s, s)) - 1.0
 
     hi = 100.0 / lam ** 2
@@ -175,7 +185,7 @@ def bound_state_energy_via_regularization(lam: float, rel_tol: float = 1e-12,
             f"root at lam = {lam:g}: I(|E|) - 1 is {f_lo:g} and {f_hi:g} at its "
             f"ends, not negative then positive"
         )
-    while hi - lo > rel_tol * hi:
+    while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         if target(mid) < 0:
             lo = mid

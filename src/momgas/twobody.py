@@ -111,18 +111,25 @@ def bound_state(lam: float) -> TwoBodyState | None:
     return TwoBodyState(parity=Parity.ODD, k=1j / (2.0 * lam), energy=-1.0 / (4.0 * lam * lam))
 
 
-def _odd_branch(state: TwoBodyState, lam: float) -> tuple[float, float] | None:
-    # validate an odd-channel state at lam; for the bound state return its
-    # decay rate kappa = 1/(2|lam|) and L2 normalization 1/sqrt(2|lam|)
+def _branch(state: TwoBodyState, lam: float, x: float, sgn: int) -> tuple[complex, complex]:
+    # value and derivative at x with the sgn(x) branch fixed to `sgn`; at
+    # x = 0, sgn = +-1 gives the one-sided limits x -> +-0+ analytically
+    if state.parity is Parity.EVEN:
+        return cmath.cos(state.k * x), -state.k * cmath.sin(state.k * x)
     if state.bound:
         if lam >= 0:
             raise ValueError("bound state requested with lam >= 0; it exists only for lam < 0")
-        return 1.0 / (2.0 * abs(lam)), 1.0 / math.sqrt(2.0 * abs(lam))
+        # decay rate kappa = 1/(2|lam|) and L2 normalization 1/sqrt(2|lam|)
+        kappa, norm = 1.0 / (2.0 * abs(lam)), 1.0 / math.sqrt(2.0 * abs(lam))
+        return (sgn * math.exp(-kappa * abs(x)) * norm,
+                -kappa * math.exp(-kappa * abs(x)) * norm)
     if lam == 0:
         raise ValueError("odd channel requires lam != 0")
     if state.k == 0:
         raise ValueError("odd channel degenerates at k = 0")
-    return None
+    k = state.k
+    return (cmath.sin(k * x) / (2.0 * lam * k) + sgn * cmath.cos(k * x),
+            cmath.cos(k * x) / (2.0 * lam) - k * sgn * cmath.sin(k * x))
 
 
 def eval_two_body(state: TwoBodyState, lam: float, x: float) -> complex:
@@ -132,14 +139,7 @@ def eval_two_body(state: TwoBodyState, lam: float, x: float) -> complex:
     the bound state (energy < 0) is the lam < 0 continuation of chi_minus,
     normalized to unit L2 norm: sgn(x) exp(-|x|/(2|lam|)) / sqrt(2|lam|).
     """
-    if state.parity is Parity.EVEN:
-        return cmath.cos(state.k * x)
-    bound = _odd_branch(state, lam)
-    if bound:
-        kappa, norm = bound
-        return _sgn(x) * math.exp(-kappa * abs(x)) * norm
-    k = state.k
-    return cmath.sin(k * x) / (2.0 * lam * k) + _sgn(x) * cmath.cos(k * x)
+    return _branch(state, lam, x, _sgn(x))[0]
 
 
 def eval_two_body_derivative(state: TwoBodyState, lam: float, x: float) -> complex:
@@ -148,25 +148,7 @@ def eval_two_body_derivative(state: TwoBodyState, lam: float, x: float) -> compl
     For the bound state the derivative is continuous, -kappa * exp(-kappa|x|)
     times the normalization, and that value is returned also at x = 0.
     """
-    if state.parity is Parity.EVEN:
-        return -state.k * cmath.sin(state.k * x)
-    bound = _odd_branch(state, lam)
-    if bound:
-        kappa, norm = bound
-        return -kappa * math.exp(-kappa * abs(x)) * norm
-    k = state.k
-    return cmath.cos(k * x) / (2.0 * lam) - k * _sgn(x) * cmath.sin(k * x)
-
-
-def _one_sided(state: TwoBodyState, lam: float, side: int) -> tuple[complex, complex]:
-    # value and derivative at x -> side * 0+ with the sgn branch fixed to `side`
-    if state.parity is Parity.EVEN:
-        return 1.0 + 0j, 0.0 + 0j
-    bound = _odd_branch(state, lam)
-    if bound:
-        kappa, norm = bound
-        return side * norm + 0j, -kappa * norm + 0j
-    return side * 1.0 + 0j, 1.0 / (2.0 * lam) + 0j
+    return _branch(state, lam, x, _sgn(x))[1]
 
 
 def two_body_residual(state: TwoBodyState, lam: float) -> BoundaryResidual:
@@ -175,8 +157,8 @@ def two_body_residual(state: TwoBodyState, lam: float) -> BoundaryResidual:
     First line: chi'(0+) - chi'(-0+).  Second line: [chi(0+) - chi(-0+)]
     - 4*lam*chi'(0+) (the relative-coordinate form; (d_1 - d_2) = 2 d_x).
     """
-    vp, dp = _one_sided(state, lam, +1)
-    vm, dm = _one_sided(state, lam, -1)
+    vp, dp = _branch(state, lam, 0.0, +1)
+    vm, dm = _branch(state, lam, 0.0, -1)
     return BoundaryResidual(
         derivative_jump=dp - dm,
         value_jump_defect=(vp - vm) - 4.0 * lam * dp,
@@ -190,9 +172,9 @@ def bc_residual(wavefunction, lam: float, pair: tuple[int, int],
     `wavefunction` is a `bethe.BetheWavefunction`; its
     ``one_sided_pair(x, pair, side) -> (value, gradient)`` takes the limits
     x_j = x_k +- 0+ analytically.  `pair` holds 0-based coordinate indices
-    (j, k); `base_point` must lie on the hyperplane x_j = x_k with all
-    spectator coordinates distinct from each other and from the contact
-    value.
+    (j, k); `base_point` holds one coordinate per particle and must lie on
+    the hyperplane x_j = x_k with all spectator coordinates distinct from
+    each other and from the contact value.
 
     Returns the defect of both matching conditions:
     (d_j - d_k) chi continuity, and the value jump minus
@@ -201,6 +183,9 @@ def bc_residual(wavefunction, lam: float, pair: tuple[int, int],
     j, k = pair
     x = [float(v) for v in base_point]
     n = len(x)
+    if n != wavefunction.n:
+        raise ValueError(f"base_point has {n} coordinates, but the wavefunction has "
+                         f"{wavefunction.n} particles")
     if not (0 <= j < n and 0 <= k < n) or j == k:
         raise ValueError(f"pair {pair!r} is not a valid coordinate pair for {n} coordinates")
     t = x[j]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from momgas import bethe
 from momgas.bethe import (
     MAX_PARTICLES_ENUMERATED, RESIDUAL_BLOCK_ROWS, BetheWavefunction, ConvergenceError,
     _mp_wedge_values,
@@ -224,12 +225,27 @@ def test_probe_sums_the_library_wavefunction(n):
 
 
 def test_schrodinger_residual_validates_geometry():
+    wf = gaudin_wavefunction([-1.0, 1.0], 1.0)
     with pytest.raises(ValueError):
-        schrodinger_residual([-1.0, 1.0], 1.0, [0.5, 0.5 + 1e-7])
+        schrodinger_residual(wf, [0.5, 0.5 + 1e-7])
     with pytest.raises(ValueError):
-        schrodinger_residual([-1.0, 1.0], 1.0, [0.5])
+        schrodinger_residual(wf, [0.5])
     with pytest.raises(ValueError):
-        schrodinger_residual([-1.0, 1.0], 1.0, [0.5, 0.5])
+        schrodinger_residual(wf, [0.5, 0.5])
+
+
+def test_residual_scan_builds_one_state_per_draw(monkeypatch):
+    # the contact check and the Schroedinger probe share the draw's state
+    calls = []
+    original = bethe.gaudin_wavefunction
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bethe, "gaudin_wavefunction", counted)
+    gaudin_residual_scan(4, 3, seed=1)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

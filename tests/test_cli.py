@@ -296,11 +296,20 @@ def test_exit_2_names_the_tolerance_when_newton_stalls(capsys):
     assert "above tol 1e-13" in err
 
 
-def test_exit_2_when_the_regularized_bracket_misses_the_root(capsys):
+def test_exit_2_when_the_regularized_bracket_misses_the_root(capsys, monkeypatch):
+    monkeypatch.setattr(momgas.regularize, "extrapolate_integral", lambda *args: 5.0)
     assert main(["reg-bound-state", "--lambda=-1e6"]) == 2
     err = capsys.readouterr().err
     assert "does not straddle the root at lam = -1e+06" in err
     assert "|E| in [1e-14, 1e-10]" in err
+
+
+def test_exit_2_names_the_quadrature_when_the_regularized_integral_breaks_its_bound(capsys):
+    # quad's value at the bracket's lower end breaks its bound; the error names that
+    assert main(["reg-bound-state", "--lambda=-1e6"]) == 2
+    err = capsys.readouterr().err
+    assert "above the modulus bound pi/(2 sqrt|E|)" in err
+    assert "epsilon = 8000, |E| = 1e-14" in err
 
 
 def test_exit_3_when_an_exact_check_fails(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from momgas import regularize
 from momgas.bethe import ConvergenceError
 from momgas.regularize import (
     bound_state_energy_via_regularization, closed_form, constant_piece_cesaro,
@@ -149,16 +150,33 @@ def test_bound_state_energy_rejects_repulsive():
         bound_state_energy_via_regularization(0.0)
 
 
-def test_bound_state_energy_names_a_bracket_that_misses_the_root():
-    # at lam = -1e6 the bracket is |E| in [1e-14, 1e-10]; the quadrature's
-    # target at the lower end comes out positive (about 2.3e300)
+def test_bound_state_energy_names_a_bracket_that_misses_the_root(monkeypatch):
+    # no real coupling is known to reach this guard; force a target that is
+    # positive at both ends to pin the message
+    monkeypatch.setattr(regularize, "extrapolate_integral", lambda *args: 5.0)
     with pytest.raises(ConvergenceError) as err:
-        bound_state_energy_via_regularization(-1e6)
+        bound_state_energy_via_regularization(-1.0)
     message = str(err.value)
-    assert "lam = -1e+06" in message
-    assert "|E| in [1e-14, 1e-10]" in message
+    assert "lam = -1" in message
+    assert "|E| in [0.01, 100]" in message
     ends = re.search(r"I\(\|E\|\) - 1 is (\S+) and (\S+) at its ends", message)
-    assert float(ends.group(1)) > 0 and float(ends.group(2)) > 0
+    assert float(ends.group(1)) == 4.0 and float(ends.group(2)) == 4.0
+
+
+def test_quadrature_above_its_modulus_bound_is_a_convergence_error():
+    # at |E| = 1e-14 quad returns about 1.8e308 with a small relative error
+    # estimate, where |int cos(eps q)/(q^2 + |E|) dq| <= pi/(2 sqrt|E|)
+    with pytest.raises(ConvergenceError) as err:
+        regularized_integral(-1e6, 1e-14, 2000.0)
+    message = str(err.value)
+    value = float(re.search(r"returned (\S+),", message).group(1))
+    assert value > math.pi / (2.0 * math.sqrt(1e-14))
+    assert "pi/(2 sqrt|E|) = 1.5708e+07" in message
+    assert "epsilon = 2000, |E| = 1e-14" in message
+    assert closed_form(-1e6, 1e-14, 2000.0) == pytest.approx(0.19996, rel=1e-4)
+    # that is the bracket's lower end at lam = -1e6, so the root-solve names it
+    with pytest.raises(ConvergenceError, match=r"above the modulus bound .* \|E\| = 1e-14"):
+        bound_state_energy_via_regularization(-1e6)
 
 
 def test_importing_momgas_leaves_scipy_unloaded():

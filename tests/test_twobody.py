@@ -5,7 +5,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from momgas import bethe
 from momgas.bethe import BetheWavefunction, gaudin_wavefunction, schrodinger_residual
 from momgas.twobody import (
     BoundaryResidual, Parity, TwoBodyState,
@@ -195,6 +194,14 @@ def test_bc_residual_validates_geometry():
         bc_residual(wf, 1.0, (0, 3), [0.0, 0.0, 2.0])      # out of range
 
 
+@pytest.mark.parametrize("point", [[0.7, 0.7], [0.7, 0.7, 2.4, 3.0]])
+def test_bc_residual_rejects_a_point_of_the_wrong_length(point):
+    # one coordinate per particle: a short point is not indexed past its end,
+    # and no coordinate of a long one is left unread
+    with pytest.raises(ValueError, match=f"{len(point)} coordinates.* 3 particles"):
+        bc_residual(_mutant(), 0.8, (0, 1), point)
+
+
 def test_bc_residual_rejects_coinciding_spectators():
     wf = _mutant((-1.3, 0.2, 1.9, 2.6), 0.8, (1, 0, 2, 3))
     with pytest.raises(ValueError):
@@ -203,14 +210,13 @@ def test_bc_residual_rejects_coinciding_spectators():
         bc_residual(wf, 1.0, (0, 1), [0.5, 0.5, 0.5, 2.0])
 
 
-def test_probe_misses_the_mutant_that_the_contact_check_catches(monkeypatch):
+def test_probe_misses_the_mutant_that_the_contact_check_catches():
     # every plane wave of the table has energy E, so the Schroedinger probe
     # passes any amplitude set; only the contact conditions pin the amplitudes
     momenta, lam, x = (-1.3, 0.2, 1.9), 0.8, [0.2, 1.4, 3.1]
     mutant = _mutant(momenta, lam)
-    true_probe = schrodinger_residual(momenta, lam, x)
-    monkeypatch.setattr(bethe, "gaudin_wavefunction", lambda *args: mutant)
-    mutant_probe = schrodinger_residual(momenta, lam, x)
+    true_probe = schrodinger_residual(gaudin_wavefunction(momenta, lam), x)
+    mutant_probe = schrodinger_residual(mutant, x)
     assert true_probe <= 1e-12
     assert mutant_probe <= 1e-12
     assert mutant_probe != true_probe       # the probe summed the mutant's table
