@@ -353,7 +353,7 @@ def test_residuals_equal_the_double_loop_bit_for_bit():
 
 @pytest.mark.parametrize("solver", [solve_bethe, solve_lieb_liniger])
 def test_residuals_at_n1024(solver):
-    # four row blocks; lam = c = 1 at density 1 (measured 6.3e-13)
+    # N / RESIDUAL_BLOCK_ROWS row blocks; lam = c = 1 at density 1 (measured 6.3e-13)
     n = 1024
     state = solver(n, float(n), 1.0, tol=1e-11)
     tracemalloc.start()
@@ -366,6 +366,107 @@ def test_residuals_at_n1024(solver):
     # the temporaries stay below a single N x N complex matrix
     assert peak < n * n * np.dtype(complex).itemsize
     assert np.array_equal(residuals, _loop_bethe_residuals(state))
+
+
+def _dense_newton_reference(I, L, delta, theta, theta_prime, tol, max_iter):
+    # the log-form Newton iteration with N x N temporaries and a dense LU
+    # solve on every step: the reference that the solver must equal bit for
+    # bit up to DIRECT_SOLVE_MAX and match to rounding above it.  Returns the
+    # roots and the number of Newton steps taken
+    k = (2.0 * math.pi * I + delta) / L
+
+    def residual(kv):
+        d = kv[:, None] - kv[None, :]
+        return kv * L - 2.0 * math.pi * I - delta + theta(d).sum(axis=1)
+
+    f = residual(k)
+    for steps in range(max_iter):
+        if np.max(np.abs(f)) <= tol:
+            return k, steps
+        n = len(k)
+        a = theta_prime(k[:, None] - k[None, :])
+        np.fill_diagonal(a, 0.0)
+        jac = -a
+        jac[np.diag_indices(n)] += L + a.sum(axis=1)
+        step = np.linalg.solve(jac, -f)
+        scale = 1.0
+        norm0 = np.max(np.abs(f))
+        for _ in range(60):
+            trial = k + scale * step
+            ftrial = residual(trial)
+            if np.max(np.abs(ftrial)) < norm0:
+                break
+            scale *= 0.5
+        else:
+            raise ConvergenceError("reference Newton iteration stalled")
+        k, f = trial, ftrial
+    assert np.max(np.abs(f)) <= tol
+    return k, max_iter
+
+
+def _solve_both_ways(model, n, L, coupling, eta, qn, tol):
+    # the dense reference's roots, from the same theta expressions and branch
+    # offset as solve_bethe / solve_lieb_liniger, and the library's state
+    # within the reference's number of Newton steps (a step solved less
+    # accurately would need more and raise ConvergenceError)
+    I = np.asarray(qn, dtype=float)
+    if model == "fermion":
+        delta = eta - (math.pi if n % 2 else 0.0)
+        theta = lambda u: 2.0 * np.arctan(coupling * u)
+        theta_prime = lambda u: 2.0 * coupling / (1.0 + (coupling * u) ** 2)
+        solve = lambda steps: solve_bethe(n, L, coupling, quantum_numbers=qn, eta=eta,
+                                          tol=tol, max_iter=steps)
+    else:
+        delta = eta
+        theta = lambda u: 2.0 * np.arctan(u / coupling)
+        theta_prime = lambda u: 2.0 * coupling / (coupling * coupling + u * u)
+        solve = lambda steps: solve_lieb_liniger(n, L, coupling, eta=eta, quantum_numbers=qn,
+                                                 tol=tol, max_iter=steps)
+    reference, steps = _dense_newton_reference(I, L, delta, theta, theta_prime, tol, 200)
+    return solve(max(steps, 1)), reference
+
+
+def test_direct_solve_roots_equal_the_dense_reference_bit_for_bit():
+    # the default tolerance where the golden records live, 1e-11 above it;
+    # sizes around the row block and up to the direct-solve limit
+    for n in [*range(1, 9), 63, 64, 65, 127, 128]:
+        tol = 1e-13 if n <= 8 else 1e-11
+        ground = list(ground_state_quantum_numbers(n))
+        excited = ground[:-1] + [ground[-1] + 2.0]
+        for model, coupling, eta, qn in itertools.product(
+                ("fermion", "boson"), (0.3, 4.0), (0.0, math.pi), (ground, excited)):
+            state, reference = _solve_both_ways(model, n, n / 0.7, coupling, eta, qn, tol)
+            assert np.array_equal(np.asarray(state.momenta), reference), (model, n, coupling, eta)
+
+
+@pytest.mark.parametrize("n", [129, 300, 700])
+def test_conjugate_gradient_roots_match_the_dense_reference(n):
+    # above DIRECT_SOLVE_MAX the Newton step is solved by CG: the roots move
+    # by rounding only, in as many Newton steps, and still satisfy the
+    # product-form equations
+    qn = ground_state_quantum_numbers(n)
+    for model, coupling, rho in itertools.product(
+            ("fermion", "boson"), np.logspace(-2.0, 1.0, 4), (0.5, 2.0)):
+        state, reference = _solve_both_ways(model, n, n / rho, coupling,
+                                            parity_rule_eta(n) if model == "fermion" else 0.0,
+                                            qn, 1e-11)
+        k = np.asarray(state.momenta)
+        assert np.max(np.abs(k - reference)) <= 1e-13 * np.max(np.abs(k)), (model, coupling, rho)
+        assert bethe_residuals(state).max() <= 1e-9, (model, coupling, rho)
+
+
+@pytest.mark.parametrize("solver", [solve_bethe, solve_lieb_liniger])
+def test_newton_memory_stays_below_one_and_a_half_matrices(solver):
+    # the Jacobian is the only N x N array; the residual and the Jacobian
+    # fill work in row blocks (the dense iteration peaks at three matrices)
+    n = 1024
+    tracemalloc.start()
+    try:
+        solver(n, float(n), 1.0, tol=1e-11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * np.dtype(float).itemsize
 
 
 def test_excited_block_and_explicit_eta():
@@ -398,6 +499,21 @@ def test_solver_rejects_bad_input():
         solve_bethe(2, 10.0, 1.0, quantum_numbers=[-0.5, 0.5, 1.5])
     with pytest.raises(ValueError):
         solve_lieb_liniger(2, 10.0, -2.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: solve_bethe(4, math.nan, 1.0), "box length must be finite, got L = nan"),
+    (lambda: solve_bethe(4, math.inf, 1.0), "box length must be finite, got L = inf"),
+    (lambda: solve_bethe(4, 10.0, math.nan), "lam must be finite, got lam = nan"),
+    (lambda: solve_bethe(4, 10.0, math.inf), "lam must be finite, got lam = inf"),
+    (lambda: solve_lieb_liniger(4, -math.inf, 1.0), "box length must be finite, got L = -inf"),
+    (lambda: solve_lieb_liniger(4, 10.0, math.nan), "c must be finite, got c = nan"),
+    (lambda: solve_lieb_liniger(4, 10.0, math.inf), "c must be finite, got c = inf"),
+])
+def test_solvers_name_a_non_finite_box_or_coupling(call, name):
+    # not a Newton failure, and never a state with free roots
+    with pytest.raises(ValueError, match=name):
+        call()
 
 
 def test_solver_signals_non_convergence():
