@@ -16,86 +16,69 @@ The package implements, in units 2m = hbar = 1:
   * the cos(eps*q)-regularized self-consistency integral and the bound
     state energy it determines  (`regularize`),
   * a CLI exposing each operation with JSON/CSV output  (`cli`).
+
+Importing the package loads none of its submodules, and so none of numpy,
+mpmath or scipy: each exported name imports its submodule on first use
+(PEP 562), so a cold process pays only for the libraries it uses.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .twobody import (
-    BoundaryResidual,
-    Parity,
-    TwoBodyState,
-    bc_residual,
-    bound_state,
-    eval_two_body,
-    eval_two_body_derivative,
-    scattering_state,
-    two_body_residual,
-)
-from .bethe import (
-    BetheState,
-    BetheWavefunction,
-    ConvergenceError,
-    bethe_residuals,
-    duality_check,
-    eval_gradient,
-    eval_wavefunction,
-    gaudin_amplitudes,
-    gaudin_residual_scan,
-    gaudin_wavefunction,
-    ground_state_scan,
-    schrodinger_residual,
-    solve_bethe,
-    solve_lieb_liniger,
-)
-from .yang_baxter import (
-    GaussianRational,
-    GroupAlgebraElement,
-    check_unitarity,
-    delta_control_defect,
-    delta_variant,
-    regular_rep,
-    yang_op,
-    yb_defect,
-)
-from .nonrel import (
-    BogoliubovPair,
-    bogoliubov,
-    coleman_check,
-    coleman_full_product,
-    coupling_maps,
-    dispersion,
-    dispersion_remainder,
-    dispersion_scan,
-    sine_gordon_taylor_coeff,
-    vertex_exact,
-    vertex_expansion_scan,
-    vertex_leading,
-)
-from .regularize import (
-    bound_state_energy_via_regularization,
-    closed_form,
-    extrapolate_integral,
-    regularized_integral,
-    richardson,
-)
 
-__all__ = [
-    "__version__",
-    "BoundaryResidual", "Parity", "TwoBodyState",
-    "bc_residual", "bound_state", "eval_two_body", "eval_two_body_derivative",
-    "scattering_state", "two_body_residual",
-    "BetheState", "BetheWavefunction", "ConvergenceError",
-    "bethe_residuals", "duality_check", "eval_gradient", "eval_wavefunction",
-    "gaudin_amplitudes", "gaudin_residual_scan", "gaudin_wavefunction",
-    "ground_state_scan", "schrodinger_residual", "solve_bethe", "solve_lieb_liniger",
-    "GaussianRational", "GroupAlgebraElement",
-    "check_unitarity", "delta_control_defect", "delta_variant",
-    "regular_rep", "yang_op", "yb_defect",
-    "BogoliubovPair", "bogoliubov", "coleman_check", "coleman_full_product", "coupling_maps",
-    "dispersion", "dispersion_remainder", "dispersion_scan",
-    "sine_gordon_taylor_coeff", "vertex_exact", "vertex_expansion_scan",
-    "vertex_leading",
-    "bound_state_energy_via_regularization",
-    "closed_form", "extrapolate_integral", "regularized_integral",
-    "richardson",
-]
+class ConvergenceError(RuntimeError):
+    """A numerical iteration (Newton solve, quadrature, bisection) failed to
+    reach its target.  Defined here, not in a submodule, so that catching it
+    imports neither numpy nor mpmath; `bethe` and `regularize` raise this
+    same class."""
+
+
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "twobody": (
+        "BoundaryResidual", "Parity", "TwoBodyState",
+        "bc_residual", "bound_state", "eval_two_body", "eval_two_body_derivative",
+        "scattering_state", "two_body_residual",
+    ),
+    "bethe": (
+        "BetheState", "BetheWavefunction",
+        "bethe_residuals", "duality_check", "eval_gradient", "eval_wavefunction",
+        "gaudin_amplitudes", "gaudin_residual_scan", "gaudin_wavefunction",
+        "ground_state_scan", "schrodinger_residual", "solve_bethe", "solve_lieb_liniger",
+    ),
+    "yang_baxter": (
+        "GaussianRational", "GroupAlgebraElement",
+        "check_unitarity", "delta_control_defect", "delta_variant",
+        "regular_rep", "yang_op", "yb_defect",
+    ),
+    "nonrel": (
+        "BogoliubovPair", "bogoliubov", "coleman_check", "coleman_full_product",
+        "coupling_maps", "dispersion", "dispersion_remainder", "dispersion_scan",
+        "sine_gordon_taylor_coeff", "vertex_exact", "vertex_expansion_scan",
+        "vertex_leading",
+    ),
+    "regularize": (
+        "bound_state_energy_via_regularization",
+        "closed_form", "extrapolate_integral", "regularized_integral", "richardson",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", "ConvergenceError", *_HOME]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        # `momgas.bethe` after a bare `import momgas`; the import system then
+        # binds the submodule as a package attribute itself
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

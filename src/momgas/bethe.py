@@ -48,7 +48,8 @@ equation.
 Schroedinger probe.  `schrodinger_residual` takes a wavefunction, as
 `bc_residual` does, and sums that object's own table of amplitudes and
 momentum rows in mpmath precision; `gaudin_residual_scan` builds one state
-per draw and passes it to both checks.
+per draw and passes it to both checks.  mpmath is imported by the probe on
+first use, so the ring solvers load numpy alone.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 
+from . import ConvergenceError
 from .twobody import bc_residual
 from .yang_baxter import perm_sign
 
@@ -88,10 +89,6 @@ RESIDUAL_BLOCK_ROWS = 64
 # x86-64 machine, LU and CG tie near N = 112 and CG takes 262 us against
 # 323 us at N = 128 and 12 ms against 64 ms at N = 1024
 DIRECT_SOLVE_MAX = 128
-
-
-class ConvergenceError(RuntimeError):
-    """Newton iteration failed to reach the requested residual."""
 
 
 def parity_rule_eta(n: int) -> float:
@@ -246,6 +243,9 @@ def ground_state_quantum_numbers(n: int) -> tuple[float, ...]:
 
 def _validate_quantum_numbers(qn) -> np.ndarray:
     I = np.asarray([float(v) for v in qn], dtype=float)
+    for j, value in enumerate(I.tolist()):
+        if not math.isfinite(value):
+            raise ValueError(f"quantum numbers must be finite, got {value} at index {j}")
     if not np.all(np.diff(I) > 0):
         raise ValueError("quantum numbers must be strictly increasing")
     return I
@@ -528,6 +528,8 @@ def _mp_wedge_values(wf: BetheWavefunction, points) -> list:
     """The wedge sum sum_P A_P exp(i sum_j k_Pj y_j) of wf at each ordered
     point y, in the current mpmath precision, from wf's own table of
     amplitudes and momentum rows (floats convert to mpmath exactly)."""
+    import mpmath as mp
+
     table = [(mp.mpc(complex(a)), [mp.mpf(float(v)) for v in row])
              for a, row in zip(wf._amps, wf._kmat)]
     values = []
@@ -558,6 +560,8 @@ def schrodinger_residual(wf: BetheWavefunction, x) -> float:
         gap = min(abs(xs[a] - xs[b]) for a in range(n) for b in range(a + 1, n))
         if gap <= 4 * h:
             raise ValueError("coordinates too close for the finite-difference step")
+    import mpmath as mp
+
     with mp.workdps(30):
         hh = mp.mpf(h)
         y0 = [mp.mpf(v) for v in sorted(xs)]

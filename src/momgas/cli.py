@@ -35,11 +35,7 @@ import tempfile
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import __version__
-from .bethe import (
-    ConvergenceError, bethe_residuals, duality_check, gaudin_residual_scan,
-    ground_state_scan, solve_bethe, solve_lieb_liniger,
-)
+from . import ConvergenceError, __version__
 from .nonrel import (
     coleman_check, coleman_full_product, coupling_maps, dispersion_scan,
     vertex_expansion_scan,
@@ -165,7 +161,8 @@ def _write_output(text: str, path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # handlers: args -> (results dict, csv rows, exit code).  Rows None means a
 # single-row command, whose CSV row is {**params, **results} projected onto
-# its columns.
+# its columns.  The ring and Gaudin handlers import `bethe` (numpy, and
+# mpmath for the Gaudin probe) when they run, not with this module.
 
 
 def _cmd_two_body(args):
@@ -203,6 +200,8 @@ def _cmd_bound_state(args):
 
 
 def _solve_record(state):
+    from .bethe import bethe_residuals
+
     residuals = bethe_residuals(state)
     results = {
         "momenta": list(state.momenta),
@@ -219,6 +218,8 @@ def _solve_record(state):
 
 
 def _cmd_bethe_solve(args):
+    from .bethe import solve_bethe
+
     return _solve_record(solve_bethe(args.n, args.box, args.lam,
                                      quantum_numbers=args.quantum_numbers,
                                      eta=_eta_value(args.eta),
@@ -226,6 +227,8 @@ def _cmd_bethe_solve(args):
 
 
 def _cmd_ll_solve(args):
+    from .bethe import solve_lieb_liniger
+
     return _solve_record(solve_lieb_liniger(args.n, args.box, args.c,
                                             eta=_eta_value(args.eta),
                                             quantum_numbers=args.quantum_numbers,
@@ -233,6 +236,8 @@ def _cmd_ll_solve(args):
 
 
 def _cmd_duality(args):
+    from .bethe import duality_check
+
     report = duality_check(args.n, args.box, args.lam, eta=_eta_value(args.eta))
     rows = [{"j": j, "quantum_number": qn, "fermion_root": fer, "boson_root": bos,
              "abs_difference": abs(fer - bos)}
@@ -243,6 +248,8 @@ def _cmd_duality(args):
 
 
 def _cmd_gaudin_check(args):
+    from .bethe import gaudin_residual_scan
+
     rows = gaudin_residual_scan(args.n, args.draws, seed=args.seed)
     results = {
         "rows": rows,
@@ -254,6 +261,8 @@ def _cmd_gaudin_check(args):
 
 
 def _cmd_gs_scan(args):
+    from .bethe import ground_state_scan
+
     rows = ground_state_scan(args.rho, args.lam, args.sizes)
     densities = [r["energy_density"] for r in rows]
     increments = [abs(b - a) for a, b in zip(densities, densities[1:])]

@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "BogoliubovPair",
     "dispersion", "dispersion_remainder", "dispersion_scan",
@@ -79,6 +77,10 @@ def loglog_slope(x, y) -> float:
     zeros = [xi for xi, yi in zip(x, y) if yi == 0.0]
     if zeros:
         raise ValueError(f"a log-log slope needs nonzero y values, got y = 0 at x = {zeros}")
+    # imported here: the rest of the module is plain floats, and the
+    # coupling-map and Coleman subcommands should not pay for numpy
+    import numpy as np
+
     lx = np.log(np.asarray(x))
     ly = np.log(np.abs(np.asarray(y)))
     return float(np.polyfit(lx, ly, 1)[0])

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .bethe import ConvergenceError
+from . import ConvergenceError
 
 __all__ = [
     "closed_form", "constant_piece_cesaro",

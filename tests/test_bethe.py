@@ -259,6 +259,18 @@ def test_quantum_number_blocks():
     assert parity_rule_eta(4) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solve", [solve_bethe, solve_lieb_liniger])
+@pytest.mark.parametrize("qn, text, index", [([0.5, math.inf], "inf", 1),
+                                             ([0.5, math.nan], "nan", 1),
+                                             ([-math.inf, 0.5], "-inf", 0)])
+def test_non_finite_quantum_numbers_are_named(solve, qn, text, index):
+    # checked before the ordering, without a RuntimeWarning: nan is not "out
+    # of order", and inf never reaches the Newton floor check
+    with pytest.raises(ValueError, match=rf"must be finite, got {text} at index {index}$"):
+        solve(2, 10.0, 1.0, quantum_numbers=qn)
+
+
 def test_single_particle_quantization():
     # N = 1, eta = pi: exp(ikL) = 1, so k = 2 pi n / L
     for n_qn in (-1.0, 0.0, 2.0):

@@ -188,3 +188,44 @@ def test_importing_momgas_leaves_scipy_unloaded():
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# the heavy libraries a cold process loads, by what it runs: the exact
+# algebra, the two-body closed forms and the coupling maps need none of them
+HEAVY = ("mpmath", "numpy", "scipy")
+FOOTPRINT = {
+    "two-body": (), "bound-state": (), "yb-check": (), "delta-control": (),
+    "coupling-maps": (), "coleman": (),
+    "bethe-solve": ("numpy",), "ll-solve": ("numpy",), "duality": ("numpy",),
+    "gs-scan": ("numpy",), "vertex-scan": ("numpy",), "dispersion-scan": ("numpy",),
+    "gaudin-check": ("mpmath", "numpy"),
+    "reg-integral": ("numpy", "scipy"), "reg-bound-state": ("numpy", "scipy"),
+}
+_LOADED = f"sorted(m for m in {HEAVY} if m in sys.modules)"
+
+
+def _loaded(proc):
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["momgas", "momgas.cli"])
+def test_importing_the_package_or_the_cli_loads_no_heavy_library(fresh_python, module):
+    assert _loaded(fresh_python(f"import sys, {module}; print({_LOADED})")) == "[]"
+
+
+def test_every_subcommand_has_a_pinned_footprint():
+    from momgas.cli import COMMANDS
+    from test_cli import SMOKE
+    assert set(FOOTPRINT) == set(COMMANDS) == set(SMOKE)
+
+
+@pytest.mark.parametrize("command", sorted(FOOTPRINT))
+def test_a_cold_subcommand_loads_only_the_heavy_libraries_it_uses(fresh_python, command):
+    from test_cli import SMOKE
+    code = ("import contextlib, io, sys\n"
+            "from momgas.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            f"print(code, {_LOADED})\n")
+    assert _loaded(fresh_python(code, command, *SMOKE[command])) == f"0 {list(FOOTPRINT[command])}"
