@@ -28,10 +28,11 @@ __version__ = "0.1.0"
 
 
 class ConvergenceError(RuntimeError):
-    """A numerical iteration (Newton solve, quadrature, bisection) failed to
-    reach its target.  Defined here, not in a submodule, so that catching it
-    imports neither numpy nor mpmath; `bethe` and `regularize` raise this
-    same class."""
+    """A numerical computation failed to reach its target: a Newton solve
+    exhausted or stalled, a quadrature with too large an error estimate or a
+    value above its modulus bound, or a non-positive extrapolated integral.
+    Defined here, not in a submodule, so that catching it imports neither
+    numpy nor mpmath; `bethe` and `regularize` raise this same class."""
 
 
 # submodule -> the names the package exports from it

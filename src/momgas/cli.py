@@ -14,8 +14,9 @@ Exit codes separate misuse from falsification:
   0  success
   1  validation error (bad flags, out-of-guard N, malformed or non-finite numbers,
      attractive-sector solve, ...)
-  2  numerical non-convergence (Newton iteration exhausted, quadrature error
-     estimate too large, bisection bracket missing the root)
+  2  numerical non-convergence (Newton iteration exhausted, a quadrature error
+     estimate too large or value above its modulus bound, a non-positive
+     extrapolated integral in reg-bound-state)
   3  exact-check failure: unitarity false, a zero Yang-Baxter defect at a
      generic triple, a nonzero one-dimensional projection, or a nonzero
      delta-control defect.  These cannot happen unless the underlying

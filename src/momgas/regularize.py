@@ -79,8 +79,8 @@ def regularized_integral(lam: float, e_abs: float, epsilon: float) -> float:
     integral of the integrand's modulus, raises `ConvergenceError`.
     """
     _validate(lam, e_abs, epsilon)
-    # imported here, not at module level: scipy.integrate takes most of a
-    # cold `import momgas`, and only this function needs it
+    # imported on first use, not at module level: importing momgas or this
+    # module loads no scipy; only the reg-* subcommands pay for it
     from scipy.integrate import quad
 
     # full_output suppresses the spurious slow-cycle warning; trust the
@@ -158,37 +158,24 @@ def extrapolate_integral(lam: float, e_abs: float,
 def bound_state_energy_via_regularization(lam: float) -> float:
     """Bound-state energy from the regularized route alone.
 
-    Solves 1 = I_extrapolated(|E|) by bisection on |E| in (0, 100/lam^2],
-    to relative width 1e-12; the left side is monotone in |E| so the root
-    is unique.  The epsilon nodes are rescaled per candidate |E|
-    (eps = 2e-4 * {4, 2, 1} / sqrt(|E|)) so the extrapolation error stays
-    ~ (2e-4)^3 at every bracket point.  Returns E = -|E|, matching
-    -1/(4 lam^2).
+    Substituting q = sqrt(|E|) t in the Lorentzian piece gives the exact
+    scaling I(eps, |E|) = sqrt(|E|) I(eps sqrt(|E|), 1).  Extrapolated over
+    nodes eps = 2e-4 * {4, 2, 1} / sqrt(|E|), whose extrapolation error
+    stays ~ (2e-4)^3 at every energy, the integral is therefore r sqrt(|E|)
+    with one constant r, the extrapolation at unit energy over the nodes
+    2e-4 * {4, 2, 1}.  The condition 1 = r sqrt(|E|) then has the single
+    root |E| = 1/r^2, so no root solve is needed and no quadrature runs at
+    small |E|.  Returns E = -1/r^2, matching -1/(4 lam^2) since r -> -2 lam.
     """
     if lam >= 0:
         raise ValueError(
             "no bound state for lam >= 0: the self-consistency condition "
             "1 = -2 lam sqrt(|E|) has no solution with a repulsive coupling"
         )
-
-    def target(e_abs: float) -> float:
-        s = 2e-4 / math.sqrt(e_abs)
-        return extrapolate_integral(lam, e_abs, (4 * s, 2 * s, s)) - 1.0
-
-    hi = 100.0 / lam ** 2
-    # root sits at |E| = 1/(4 lam^2) = 2.5e-3 hi, inside (1e-4 hi, hi]
-    lo = 1e-4 * hi
-    f_lo, f_hi = target(lo), target(hi)
-    if not (f_lo < 0 < f_hi):
+    r = extrapolate_integral(lam, 1.0, (8e-4, 4e-4, 2e-4))
+    if not r > 0:
         raise ConvergenceError(
-            f"bisection bracket |E| in [{lo:g}, {hi:g}] does not straddle the "
-            f"root at lam = {lam:g}: I(|E|) - 1 is {f_lo:g} and {f_hi:g} at its "
-            f"ends, not negative then positive"
+            f"extrapolated integral at unit energy r = {r:g} is not positive at "
+            f"lam = {lam:g}: 1 = r sqrt(|E|) has no root"
         )
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if target(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return -0.5 * (lo + hi)
+    return -1.0 / r ** 2

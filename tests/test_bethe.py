@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -20,6 +21,7 @@ from momgas.bethe import (
     parity_rule_eta, schrodinger_residual, solve_bethe, solve_lieb_liniger,
 )
 from momgas.twobody import bc_residual
+from momgas.yang_baxter import GaussianRational, sign_projection, yang_op
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +79,22 @@ def test_adjacent_transposition_ratio(n, seed):
             target = (1j * u + 1.0 / lam) / (1j * u - 1.0 / lam)
             assert abs(ratio - target) < 1e-12
             assert abs(abs(ratio) - 1.0) < 1e-12
+
+
+def test_adjacent_transposition_ratio_is_the_yang_operator_on_fermions():
+    # the same ratio from the exact algebra: the fermion-sector action of
+    # Y_{i+1}(u), at rational momenta so u enters yang_op exactly
+    k = (Fraction(0), Fraction(3, 7), Fraction(1), Fraction(9, 4))
+    lam = Fraction(5, 3)
+    amps = gaudin_amplitudes(k, float(lam))
+    for p in itertools.permutations(range(4)):
+        for i in range(3):
+            q = list(p)
+            q[i], q[i + 1] = q[i + 1], q[i]
+            action = sign_projection(yang_op(i + 1, k[p[i + 1]] - k[p[i]], lam, 4))
+            assert abs(amps[p] / amps[tuple(q)] - complex(action.re, action.im)) <= 1e-15
+    assert sign_projection(yang_op(1, Fraction(3, 7), lam, 3)) == GaussianRational(
+        Fraction(-12, 37), Fraction(-35, 37))
 
 
 def test_normalized_amplitudes_are_unimodular():

@@ -296,17 +296,18 @@ def test_exit_2_names_the_tolerance_when_newton_stalls(capsys):
     assert "above tol 1e-13" in err
 
 
-def test_exit_2_when_the_regularized_bracket_misses_the_root(capsys, monkeypatch):
-    monkeypatch.setattr(momgas.regularize, "extrapolate_integral", lambda *args: 5.0)
-    assert main(["reg-bound-state", "--lambda=-1e6"]) == 2
+def test_exit_2_when_the_extrapolated_integral_is_not_positive(capsys, monkeypatch):
+    # no real coupling is known to reach this guard; force it to pin the message
+    monkeypatch.setattr(momgas.regularize, "extrapolate_integral", lambda *args: -5.0)
+    assert main(["reg-bound-state", "--lambda=-1"]) == 2
     err = capsys.readouterr().err
-    assert "does not straddle the root at lam = -1e+06" in err
-    assert "|E| in [1e-14, 1e-10]" in err
+    assert "r = -5 is not positive at lam = -1" in err
 
 
 def test_exit_2_names_the_quadrature_when_the_regularized_integral_breaks_its_bound(capsys):
-    # quad's value at the bracket's lower end breaks its bound; the error names that
-    assert main(["reg-bound-state", "--lambda=-1e6"]) == 2
+    # at |E| = 1e-14 quad's value at the first node breaks its bound; the error names that
+    assert main(["reg-integral", "--lambda=-1e6", "--e-abs=1e-14",
+                 "--epsilons=8000,4000,2000"]) == 2
     err = capsys.readouterr().err
     assert "above the modulus bound pi/(2 sqrt|E|)" in err
     assert "epsilon = 8000, |E| = 1e-14" in err
@@ -320,7 +321,7 @@ def test_exit_3_when_an_exact_check_fails(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# reg-integral: one quadrature per node, node errors unchanged
+# reg-integral and reg-bound-state: one quadrature per node, node errors unchanged
 
 
 def test_reg_integral_integrates_each_node_once(capsys, monkeypatch):
@@ -338,6 +339,20 @@ def test_reg_integral_integrates_each_node_once(capsys, monkeypatch):
     assert code == 0
     assert [args[2] for args in calls] == [0.2, 0.1, 0.05]
     assert [row["epsilon"] for row in record["results"]["rows"]] == [0.2, 0.1, 0.05]
+
+
+def test_reg_bound_state_integrates_three_nodes_at_unit_energy(capsys, monkeypatch):
+    calls = []
+    original = momgas.regularize.regularized_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(momgas.regularize, "regularized_integral", counted)
+    code, _ = run_json(capsys, ["reg-bound-state", "--lambda", "-0.5"])
+    assert code == 0
+    assert calls == [(-0.5, 1.0, 8e-4), (-0.5, 1.0, 4e-4), (-0.5, 1.0, 2e-4)]
 
 
 _DIVERGENT = ("epsilon must be positive: at epsilon = 0 the integral is linearly "

@@ -1,5 +1,5 @@
 """Regularized self-consistency integral: quadrature vs closed form,
-extrapolation, and the bound-state root-solve."""
+extrapolation, and the bound-state energy from the sqrt(|E|) scaling."""
 
 import math
 import os
@@ -102,8 +102,8 @@ def test_richardson_validates_input():
 
 
 def test_extrapolation_documented_nodes():
-    # default nodes at the documented example point; the rescaled nodes used
-    # by the root-solve do far better, this is the coarse demonstration
+    # default nodes at the documented example point; the small nodes used
+    # for the bound-state energy do far better, this is the coarse demonstration
     lam, e_abs = -1.0, 0.25
     limit = -2.0 * lam * math.sqrt(e_abs)
     err = abs(extrapolate_integral(lam, e_abs) - limit)
@@ -150,17 +150,35 @@ def test_bound_state_energy_rejects_repulsive():
         bound_state_energy_via_regularization(0.0)
 
 
-def test_bound_state_energy_names_a_bracket_that_misses_the_root(monkeypatch):
-    # no real coupling is known to reach this guard; force a target that is
-    # positive at both ends to pin the message
-    monkeypatch.setattr(regularize, "extrapolate_integral", lambda *args: 5.0)
+def test_bound_state_energy_names_a_non_positive_extrapolated_integral(monkeypatch):
+    # no real coupling is known to reach this guard; force an extrapolated
+    # integral r <= 0, for which 1 = r sqrt(|E|) has no root, to pin the message
+    monkeypatch.setattr(regularize, "extrapolate_integral", lambda *args: -5.0)
     with pytest.raises(ConvergenceError) as err:
         bound_state_energy_via_regularization(-1.0)
     message = str(err.value)
     assert "lam = -1" in message
-    assert "|E| in [0.01, 100]" in message
-    ends = re.search(r"I\(\|E\|\) - 1 is (\S+) and (\S+) at its ends", message)
-    assert float(ends.group(1)) == 4.0 and float(ends.group(2)) == 4.0
+    assert "r = -5 is not positive" in message
+
+
+def test_bound_state_energy_sweeps_couplings_down_to_minus_1e6():
+    # the quadrature runs at |E| = 1 only; at the bound-state energy itself it
+    # would fail below lam = -5e4, where |E| < 1e-10 and quad returns 1.8e308
+    for lam in (-10.0 ** (-3.0 + 0.9 * j) for j in range(11)):
+        expected = -1.0 / (4.0 * lam * lam)
+        energy = bound_state_energy_via_regularization(lam)
+        assert abs(energy - expected) <= 1e-8 * abs(expected), lam
+
+
+@pytest.mark.parametrize("e_abs", [0.01, 1.0, 100.0, 1e4])
+def test_integral_scales_as_sqrt_energy_at_rescaled_epsilon(e_abs):
+    # q = sqrt(|E|) t gives I(w/sqrt|E|, |E|) = sqrt(|E|) I(w, 1), the identity
+    # bound_state_energy_via_regularization rests on.  At |E| = 1e-6 quad's
+    # q-form drifts from it by 4.8e-9 at w = 8e-4, so it is not in this grid.
+    s = math.sqrt(e_abs)
+    for w in (2e-4, 8e-4, 0.1):
+        scaled = s * regularized_integral(-0.7, 1.0, w)
+        assert regularized_integral(-0.7, e_abs, w / s) == pytest.approx(scaled, rel=1e-12, abs=0)
 
 
 def test_quadrature_above_its_modulus_bound_is_a_convergence_error():
@@ -174,9 +192,6 @@ def test_quadrature_above_its_modulus_bound_is_a_convergence_error():
     assert "pi/(2 sqrt|E|) = 1.5708e+07" in message
     assert "epsilon = 2000, |E| = 1e-14" in message
     assert closed_form(-1e6, 1e-14, 2000.0) == pytest.approx(0.19996, rel=1e-4)
-    # that is the bracket's lower end at lam = -1e6, so the root-solve names it
-    with pytest.raises(ConvergenceError, match=r"above the modulus bound .* \|E\| = 1e-14"):
-        bound_state_energy_via_regularization(-1e6)
 
 
 def test_importing_momgas_leaves_scipy_unloaded():

@@ -84,7 +84,8 @@ def test_one_convergence_error_class():
 
 
 @pytest.mark.parametrize("argv", [["bethe-solve", "--n", "256", "--box", "256", "--lambda", "1"],
-                                  ["reg-bound-state", "--lambda=-1e6"]])
+                                  ["reg-integral", "--lambda=-1e6", "--e-abs=1e-14",
+                                   "--epsilons=8000,4000,2000"]])
 def test_a_cold_cli_still_exits_2_on_non_convergence(fresh_python, argv):
     proc = fresh_python("import sys; from momgas.cli import main; sys.exit(main())", *argv)
     assert proc.returncode == 2, proc.stderr
