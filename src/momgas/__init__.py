@@ -30,7 +30,8 @@ __version__ = "0.1.0"
 class ConvergenceError(RuntimeError):
     """A numerical computation failed to reach its target: a Newton solve
     exhausted or stalled, a quadrature with too large an error estimate or a
-    value above its modulus bound, or a non-positive extrapolated integral.
+    value above its modulus bound or below its lower bound, or a
+    non-positive extrapolated integral.
     Defined here, not in a submodule, so that catching it imports neither
     numpy nor mpmath; `bethe` and `regularize` raise this same class."""
 

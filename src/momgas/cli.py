@@ -13,10 +13,11 @@ entry of COMMANDS: its help text, flags, handler and CSV columns.
 Exit codes separate misuse from falsification:
   0  success
   1  validation error (bad flags, out-of-guard N, malformed or non-finite numbers,
-     attractive-sector solve, ...)
+     attractive-sector solve, finite flags whose arithmetic leaves the float64
+     range, ...)
   2  numerical non-convergence (Newton iteration exhausted, a quadrature error
-     estimate too large or value above its modulus bound, a non-positive
-     extrapolated integral in reg-bound-state)
+     estimate too large or value above its modulus bound or below its lower
+     bound, a non-positive extrapolated integral in reg-bound-state)
   3  exact-check failure: unitarity false, a zero Yang-Baxter defect at a
      generic triple, a nonzero one-dimensional projection, or a nonzero
      delta-control defect.  These cannot happen unless the underlying
@@ -499,6 +500,11 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, TypeError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConvergenceError) else 1
+    except ArithmeticError as exc:
+        # finite flags whose arithmetic leaves float64: a square underflowing
+        # to zero, an exp or a power overflowing
+        print(f"error: {args.command}: float64 range exceeded ({exc})", file=sys.stderr)
+        return 1
     if args.format == "csv":
         if rows is None:
             rows = [{**_params_of(args), **results}]

@@ -75,8 +75,10 @@ def regularized_integral(lam: float, e_abs: float, epsilon: float) -> float:
     The constant split piece Cesaro-averages to zero; what remains is
     -(4 lam |E|/pi) int_0^inf cos(eps q)/(q^2 + |E|) dq, done by adaptive
     oscillatory quadrature to absolute error 1e-13.  A quadrature whose
-    error estimate is large, or whose value exceeds pi/(2 sqrt|E|), the
-    integral of the integrand's modulus, raises `ConvergenceError`.
+    error estimate is large, whose value exceeds pi/(2 sqrt|E|), the
+    integral of the integrand's modulus, or whose value falls below
+    (pi/2 - 2 eps sqrt|E|)/sqrt|E|, which 1 - cos x <= min(2, x^2/2) gives,
+    raises `ConvergenceError`.
     """
     _validate(lam, e_abs, epsilon)
     # imported on first use, not at module level: importing momgas or this
@@ -97,12 +99,23 @@ def regularized_integral(lam: float, e_abs: float, epsilon: float) -> float:
         )
     # |int cos(eps q)/(q^2 + |E|) dq| <= int 1/(q^2 + |E|) dq: an error
     # estimate relative to the value itself cannot catch a huge wrong value
-    bound = math.pi / (2.0 * math.sqrt(e_abs))
+    s = math.sqrt(e_abs)
+    bound = math.pi / (2.0 * s)
     if abs(lorentz) > bound:
         raise ConvergenceError(
             f"oscillatory quadrature returned {lorentz:g}, above the modulus "
             f"bound pi/(2 sqrt|E|) = {bound:g}, at epsilon = {epsilon:g}, "
             f"|E| = {e_abs:g}"
+        )
+    # 1 - cos x <= min(2, x^2/2) bounds the integral below; below about
+    # eps sqrt|E| = 2e-5 quad returns ~ -(pi/2) eps with a tiny error
+    # estimate, which only this bound catches
+    lower = (math.pi / 2.0 - 2.0 * epsilon * s) / s
+    if lorentz < lower:
+        raise ConvergenceError(
+            f"oscillatory quadrature returned {lorentz:g}, below the lower "
+            f"bound (pi/2 - 2 eps sqrt|E|)/sqrt|E| = {lower:g}, at "
+            f"epsilon = {epsilon:g}, |E| = {e_abs:g}"
         )
     return -(4.0 * lam * e_abs / math.pi) * lorentz
 

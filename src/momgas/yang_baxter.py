@@ -283,6 +283,12 @@ def _transposition(i: int, n: int) -> tuple[int, ...]:
     return tuple(t)
 
 
+def _exchange(i: int, n: int, a, b, d) -> GroupAlgebraElement:
+    # (a 1 + b T_i) / d, identity first (max_abs_entry's tie order), zeros dropped
+    terms = ((tuple(range(n)), a / d), (_transposition(i, n), b / d))
+    return GroupAlgebraElement(n, {r: v for r, v in terms if not v.is_zero})
+
+
 def yang_op(i: int, u, lam, n: int) -> GroupAlgebraElement:
     """Y_i(u) = (iu - (1/lam) T_i) / (iu - 1/lam), exactly, for rational u and
     lam != 0.  Its scalar actions on the boson and fermion sectors
@@ -293,11 +299,9 @@ def yang_op(i: int, u, lam, n: int) -> GroupAlgebraElement:
     lam = _fraction(lam)
     if lam == 0:
         raise ValueError("lam must be nonzero")
-    inv_lam = 1 / lam
-    t = regular_rep(_transposition(i, n), n)
-    denom = GR_I * u - GaussianRational.of(inv_lam)   # nonzero: u real, 1/lam != 0
-    ident = GroupAlgebraElement.identity(n)
-    return (ident.scale(GR_I * u) + t.scale(-GaussianRational.of(inv_lam))).scale(GR_ONE / denom)
+    iu = GR_I * u
+    inv_lam = GaussianRational.of(1 / lam)
+    return _exchange(i, n, iu, -inv_lam, iu - inv_lam)   # nonzero: u real, 1/lam != 0
 
 
 def _is_unitary(y, u, n: int) -> bool:
@@ -369,19 +373,15 @@ def yb_defect(i: int, u, v, lam, n: int) -> DefectResult:
 
 
 def delta_yang_op(i: int, u, c, n: int) -> GroupAlgebraElement:
-    """Delta-interaction exchange operator (s_u u T_i + s_c ic) / (u - ic)
-    in the sign convention (s_u, s_c) = delta_variant()."""
+    """Delta-interaction exchange operator (ic + u T_i) / (u - ic), in the
+    sign convention (s_u, s_c) = delta_variant() = (1, 1)."""
     _check_n(n)
     u = _fraction(u)
     c = _fraction(c)
     if c == 0:
         raise ValueError("c must be nonzero")
-    s_u, s_c = delta_variant()
-    t = regular_rep(_transposition(i, n), n)
-    denom = GaussianRational.of(u) - GR_I * c
-    ident = GroupAlgebraElement.identity(n)
-    num = t.scale(GaussianRational.of(s_u * u)) + ident.scale(GR_I * (s_c * c))
-    return num.scale(GR_ONE / denom)
+    ic = GR_I * c
+    return _exchange(i, n, ic, GaussianRational.of(u), u - ic)
 
 
 def check_delta_unitarity(i: int, u, c, n: int) -> bool:

@@ -313,6 +313,31 @@ def test_exit_2_names_the_quadrature_when_the_regularized_integral_breaks_its_bo
     assert "epsilon = 8000, |E| = 1e-14" in err
 
 
+def test_exit_2_names_the_lower_bound_when_a_small_node_is_silently_wrong(capsys):
+    # at eps sqrt|E| <= 2e-6 quad returns a small negative value with a tiny
+    # error estimate; the closed form is 0.999998
+    assert main(["reg-integral", "--lambda", "-1", "--e-abs", "0.25",
+                 "--epsilons", "4e-6,2e-6,1e-6"]) == 2
+    err = capsys.readouterr().err
+    assert "below the lower bound (pi/2 - 2 eps sqrt|E|)/sqrt|E| = 3.14158" in err
+    assert "epsilon = 4e-06, |E| = 0.25" in err
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["reg-bound-state", "--lambda=-1e-300"], "float division by zero"),
+    (["coupling-maps", "--g", "1", "--beta", "1", "--c", "1e-300"], "float division by zero"),
+    (["vertex-scan", "--mc-values", "1e200,2e200"], "Numerical result out of range"),
+])
+def test_exit_1_names_a_flag_that_leaves_the_float64_range(fresh_python, argv, cause):
+    # r^2 or c^2 underflows to zero, or the vertex overflows: no traceback
+    proc = fresh_python("import sys\nfrom momgas.cli import main\nsys.exit(main(sys.argv[1:]))",
+                        *argv)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {argv[0]}: float64 range exceeded (")
+    assert cause in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_3_when_an_exact_check_fails(capsys, monkeypatch):
     # unreachable through the real algebra; force it to pin the taxonomy
     monkeypatch.setattr("momgas.cli.check_unitarity", lambda *a: False)

@@ -46,9 +46,34 @@ def test_closed_form_formula():
 
 
 def test_value_vanishes_with_energy():
-    # sqrt(|E|) prefactor: no bound state at zero energy
-    assert abs(regularized_integral(-1.0, 1e-10, 0.1)) < 1e-4
+    # sqrt(|E|) prefactor: no bound state at zero energy.  eps sqrt|E| = 1e-3
+    # here; at eps = 0.1 (1e-6) quad is wrong and the call raises, see below
+    value = regularized_integral(-1.0, 1e-10, 100.0)
+    assert value == pytest.approx(closed_form(-1.0, 1e-10, 100.0), rel=1e-9, abs=0)
+    assert value < 2e-5
     assert abs(closed_form(-1.0, 1e-12, 0.1)) < 1e-5
+
+
+def test_quadrature_below_its_lower_bound_is_a_convergence_error():
+    # at eps sqrt|E| = 1e-6 quad returns about -(pi/2) eps with an error
+    # estimate of 9e-14, where 1 - cos x <= min(2, x^2/2)
+    # bounds the integral below by (pi/2 - 2 eps sqrt|E|)/sqrt|E| > 0
+    with pytest.raises(ConvergenceError) as err:
+        regularized_integral(-1.0, 1e-10, 0.1)
+    message = str(err.value)
+    assert float(re.search(r"returned (\S+),", message).group(1)) < 0
+    assert "below the lower bound (pi/2 - 2 eps sqrt|E|)/sqrt|E| = 157079" in message
+    assert "epsilon = 0.1, |E| = 1e-10" in message
+
+
+@pytest.mark.parametrize("e_abs", [1e-2, 1.0, 1e2])
+def test_neither_bound_fires_on_a_correct_quadrature(e_abs):
+    # eps sqrt|E| from 1e-4 to 10: every value passes both bounds and is right
+    s = math.sqrt(e_abs)
+    for k in range(11):
+        epsilon = 10.0 ** (-4 + k / 2) / s
+        assert regularized_integral(-0.7, e_abs, epsilon) == pytest.approx(
+            closed_form(-0.7, e_abs, epsilon), rel=1e-9, abs=0)
 
 
 def test_regulator_is_mandatory():

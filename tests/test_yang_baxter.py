@@ -189,6 +189,19 @@ def test_unitarity_holds_for_random_rationals(seed):
     assert check_unitarity(i, u, lam, n)
 
 
+def test_each_yang_operator_is_built_as_one_element(monkeypatch):
+    # (a 1 + b T_i)/d directly, not from basis elements, scalings and a sum
+    built = []
+    init = GroupAlgebraElement.__init__
+    monkeypatch.setattr(GroupAlgebraElement, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    for build in (yang_op, delta_yang_op):
+        op = build(2, Fraction(3, 7), Fraction(-5, 3), 4)
+        assert len(built) == 1
+        assert list(op.coeffs)[0] == (0, 1, 2, 3)   # identity first
+        built.clear()
+
+
 def test_yang_op_validates_input():
     with pytest.raises(ValueError):
         yang_op(1, 1, 0, 3)
