@@ -46,10 +46,13 @@ own theta, so `duality_check` compares two independent codings of the same
 equation.
 
 Schroedinger probe.  `schrodinger_residual` takes a wavefunction, as
-`bc_residual` does, and sums that object's own table of amplitudes and
-momentum rows in mpmath precision; `gaudin_residual_scan` builds one state
-per draw and passes it to both checks.  mpmath is imported by the probe on
-first use, so the ring solvers load numpy alone.
+`bc_residual` does, and makes one pass over that object's own amplitude
+table at 40 mpmath digits: N^2 exponentials exp(i k_m y_s) give every
+plane wave as a product of per-slot phases, and a +-h shift of one slot
+rescales each momentum's terms there, so all N second differences come
+from the same N! terms.  `gaudin_residual_scan` builds one state per draw
+and passes it to both checks.  mpmath is imported by the probe on first
+use, so the ring solvers load numpy alone.
 """
 
 from __future__ import annotations
@@ -505,6 +508,8 @@ def ground_state_scan(rho: float, lam: float, sizes) -> list[dict]:
         raise ValueError("need at least one system size, got sizes = []")
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
         raise ValueError("sizes must be strictly increasing")
+    if not math.isfinite(rho):
+        raise ValueError(f"density must be finite, got rho = {rho!r}")
     if rho <= 0:
         raise ValueError("density must be positive")
     rows = []
@@ -524,34 +529,21 @@ def ground_state_scan(rho: float, lam: float, sizes) -> list[dict]:
 # diagnostics: residual scans used by the CLI and the acceptance suite
 
 
-def _mp_wedge_values(wf: BetheWavefunction, points) -> list:
-    """The wedge sum sum_P A_P exp(i sum_j k_Pj y_j) of wf at each ordered
-    point y, in the current mpmath precision, from wf's own table of
-    amplitudes and momentum rows (floats convert to mpmath exactly)."""
-    import mpmath as mp
-
-    table = [(mp.mpc(complex(a)), [mp.mpf(float(v)) for v in row])
-             for a, row in zip(wf._amps, wf._kmat)]
-    values = []
-    for y in points:
-        total = mp.mpc(0)
-        for a, row in table:
-            phase = mp.fsum(kv * yv for kv, yv in zip(row, y))
-            total += a * mp.exp(mp.mpc(0, 1) * phase)
-        values.append(total)
-    return values
-
-
 def schrodinger_residual(wf: BetheWavefunction, x) -> float:
     """Relative free-Schroedinger residual of the wavefunction wf at x,
     probed with central second differences of step h = 1e-6.
 
-    The probe sums wf's own plane-wave table at 30 mpmath digits (float64
-    cannot resolve a 1e-6 second-difference step below ~1e-3 relative
-    error).  Returns |sum_m D2_m chi + E chi| / (sum_m |D2_m chi| + |E chi|),
-    which is ~h^2 * k^2 / 12 for a true eigenfunction.  Every plane wave of
-    the table has energy E, so any amplitude set passes; the contact
-    conditions (`bc_residual`) are what pin the amplitudes.
+    One pass over wf's amplitude table at 40 mpmath digits (float64 cannot
+    resolve a 1e-6 second-difference step below ~1e-3 relative error).
+    From the N^2 phases exp(i k_m y_s) at the sorted point y, each term
+    A_P prod_s exp(i k_{P_s} y_s) is formed once and added to chi and to
+    W[s][m], the sum of the terms with momentum m in slot s.  A +-h shift of
+    slot s multiplies those by exp(+-i k_m h), so the central difference is
+    exactly D2_s chi = sum_m W[s][m] (2 cos(k_m h) - 2) / h^2, evaluated as
+    -4 sin^2(k_m h / 2) / h^2.  Returns |sum_s D2_s chi + E chi| /
+    (sum_s |D2_s chi| + |E chi|), ~h^2 k^2 / 12 for a true eigenfunction.
+    Every plane wave of the table has energy E, so any amplitude set passes;
+    the contact conditions (`bc_residual`) are what pin the amplitudes.
     """
     h = 1e-6
     xs = _checked_coords(wf, x)
@@ -562,21 +554,26 @@ def schrodinger_residual(wf: BetheWavefunction, x) -> float:
             raise ValueError("coordinates too close for the finite-difference step")
     import mpmath as mp
 
-    with mp.workdps(30):
+    with mp.workdps(40):
         hh = mp.mpf(h)
-        y0 = [mp.mpf(v) for v in sorted(xs)]
-        points = [y0]
-        for slot in range(n):
-            for shift in (hh, -hh):
-                y = list(y0)
-                y[slot] += shift
-                points.append(y)
-        chi0, *shifted = _mp_wedge_values(wf, points)
-        e_tot = mp.fsum(mp.mpf(v) ** 2 for v in wf.momenta)
+        k = [mp.mpf(float(v)) for v in wf.momenta]
+        y = sorted(xs)
+        phase = [[mp.exp(mp.mpc(0, km * ys)) for ys in y] for km in k]
+        chi0 = mp.mpc(0)
+        w = [[mp.mpc(0)] * n for _ in range(n)]
+        for p, a in wf.amplitudes.items():
+            term = mp.mpc(complex(a))
+            for s, m in enumerate(p):
+                term *= phase[m][s]
+            chi0 += term
+            for s, m in enumerate(p):
+                w[s][m] += term
+        d2_factor = [-4 * mp.sin(km * hh / 2) ** 2 / (hh * hh) for km in k]
+        e_tot = mp.fsum(km ** 2 for km in k)
         num = e_tot * chi0
-        denom = abs(e_tot * chi0)
-        for slot in range(n):
-            d2 = (shifted[2 * slot] - 2 * chi0 + shifted[2 * slot + 1]) / (hh * hh)
+        denom = abs(num)
+        for row in w:
+            d2 = mp.fsum(ws * c for ws, c in zip(row, d2_factor))
             num += d2
             denom += abs(d2)
         return float(abs(num) / denom)

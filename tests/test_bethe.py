@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from momgas import bethe
 from momgas.bethe import (
     MAX_PARTICLES_ENUMERATED, RESIDUAL_BLOCK_ROWS, BetheWavefunction, ConvergenceError,
-    _mp_wedge_values,
     bethe_residuals, duality_check, eval_gradient, eval_wavefunction,
     gaudin_amplitudes, gaudin_residual_scan,
     gaudin_wavefunction, ground_state_quantum_numbers, ground_state_scan,
@@ -22,6 +21,7 @@ from momgas.bethe import (
 )
 from momgas.twobody import bc_residual
 from momgas.yang_baxter import GaussianRational, sign_projection, yang_op
+from test_twobody import _mutant
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +224,50 @@ def test_residual_scan_needs_a_draw(draws):
         gaudin_residual_scan(3, draws)
 
 
+def _mp_wedge_values(wf, points):
+    # reference: the wedge sum sum_P A_P exp(i sum_j k_Pj y_j) of wf at each
+    # ordered point y, term by term in the current mpmath precision
+    table = [(mp.mpc(complex(a)), [mp.mpf(float(v)) for v in row])
+             for a, row in zip(wf._amps, wf._kmat)]
+    values = []
+    for y in points:
+        total = mp.mpc(0)
+        for a, row in table:
+            phase = mp.fsum(kv * yv for kv, yv in zip(row, y))
+            total += a * mp.exp(mp.mpc(0, 1) * phase)
+        values.append(total)
+    return values
+
+
+def _pointwise_residual(wf, x, dps):
+    # reference: the central second differences of schrodinger_residual's
+    # docstring, from the wedge sum at the 2N + 1 points y0 and y0 +- h e_s
+    with mp.workdps(dps):
+        hh = mp.mpf(1e-6)
+        y0 = [mp.mpf(v) for v in sorted(x)]
+        points = [y0]
+        for slot in range(wf.n):
+            for shift in (hh, -hh):
+                y = list(y0)
+                y[slot] += shift
+                points.append(y)
+        chi0, *shifted = _mp_wedge_values(wf, points)
+        e_tot = mp.fsum(mp.mpf(v) ** 2 for v in wf.momenta)
+        num = e_tot * chi0
+        denom = abs(e_tot * chi0)
+        for slot in range(wf.n):
+            d2 = (shifted[2 * slot] - 2 * chi0 + shifted[2 * slot + 1]) / (hh * hh)
+            num += d2
+            denom += abs(d2)
+        return float(abs(num) / denom)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_probe_sums_the_library_wavefunction(n):
-    # the mpmath plane-wave sum behind schrodinger_residual is the function
+    # the mpmath plane-wave sum behind the reference probe is the function
     # eval_wavefunction evaluates, sgn(P) included; the residual ratio alone
     # cannot tell amplitude sets apart, since any fixed set of coefficients
     # gives a free eigenfunction inside the wedge
-    import random
     rng = random.Random(100 + n)
     momenta = [-1.3, 0.2, 1.9, -2.4, 0.9][:n]
     lam = 0.8
@@ -240,6 +277,48 @@ def test_probe_sums_the_library_wavefunction(n):
         (probe,) = _mp_wedge_values(wf, [[mp.mpf(v) for v in x]])
     value = eval_wavefunction(wf, x)
     assert abs(complex(probe) - value) <= 1e-12 * abs(value)
+
+
+def _probe_cases():
+    cases = []
+    for n in range(2, 7):
+        rng = random.Random(200 + n)
+        momenta = [-1.3, 0.2, 1.9, -2.4, 0.9, 2.6][:n]
+        x = [0.4 + 0.8 * s + rng.uniform(0.0, 0.3) for s in range(n)]
+        wf = gaudin_wavefunction(momenta, rng.uniform(0.1, 10.0))
+        cases.append(pytest.param(wf, x, id=f"gaudin-n{n}"))
+    cases.append(pytest.param(_mutant(), [0.2, 1.4, 3.1], id="mutant"))
+    return cases
+
+
+@pytest.mark.parametrize("wf, x", _probe_cases())
+def test_probe_matches_the_pointwise_formula_at_60_digits(wf, x):
+    # the one-pass slot sums rearrange the central differences exactly; at
+    # 40 digits they agree with the 2N + 1 point sums at 60 digits
+    reference = _pointwise_residual(wf, x, 60)
+    assert abs(schrodinger_residual(wf, x) - reference) <= 1e-14 * reference
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_probe_makes_one_exponential_per_momentum_and_slot(n, monkeypatch):
+    # N^2 phases exp(i k_m y_s), where the pointwise sum makes N! (2N + 1)
+    calls = []
+    original = mp.exp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "exp", counted)
+    wf = gaudin_wavefunction([-1.3, 0.2, 1.9, -2.4, 0.9, 2.6][:n], 0.8)
+    schrodinger_residual(wf, [0.4 + 0.8 * s for s in range(n)])
+    assert len(calls) == n * n
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_probe_passes_one_draw_at_large_n(n):
+    (row,) = gaudin_residual_scan(n, 1, seed=1)
+    assert row["schrodinger_residual"] <= 1e-6
 
 
 def test_schrodinger_residual_validates_geometry():
@@ -634,6 +713,13 @@ def test_ground_state_scan_validates_input():
         ground_state_scan(1.0, 1.0, [4, 4])
     with pytest.raises(ValueError):
         ground_state_scan(-1.0, 1.0, [4, 8])
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+def test_ground_state_scan_names_a_non_finite_density(rho):
+    # not the box length L = N / rho that it would turn into
+    with pytest.raises(ValueError, match=rf"^density must be finite, got rho = {rho!r}$"):
+        ground_state_scan(rho, 1.0, [4, 8])
 
 
 def test_ground_state_scan_needs_a_size():
