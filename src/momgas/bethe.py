@@ -50,13 +50,17 @@ Schroedinger probe.  `schrodinger_residual` takes a wavefunction, as
 table at 40 mpmath digits: N^2 exponentials exp(i k_m y_s) give every
 plane wave as a product of per-slot phases, and a +-h shift of one slot
 rescales each momentum's terms there, so all N second differences come
-from the same N! terms.  `gaudin_residual_scan` builds one state per draw
-and passes it to both checks.  mpmath is imported by the probe on first
-use, so the ring solvers load numpy alone.
+from the same N! terms.  Those N! products and their slot sums run on
+Python integers in fixed point, 64 bits finer than the working precision
+and scaled to the largest amplitude, so only the N^2 phases and the final
+O(N^2) combination are mpmath operations.  `gaudin_residual_scan` builds
+one state per draw and passes it to both checks.  mpmath is imported by
+the probe on first use, so the ring solvers load numpy alone.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -122,12 +126,14 @@ def gaudin_amplitudes(momenta, lam: float) -> dict[tuple[int, ...], complex]:
     if n > MAX_PARTICLES_ENUMERATED:
         raise ValueError(f"N = {n} exceeds the N! enumeration guard ({MAX_PARTICLES_ENUMERATED})")
     _require_distinct(k, "momenta must be pairwise distinct (the determinant vanishes)")
+    pair = [[1j * lam * (kb - ka) + 1.0 for kb in k] for ka in k]
     out = {}
     for p in itertools.permutations(range(n)):
         a = complex(perm_sign(p))
         for l in range(n):
+            row = pair[p[l]]
             for j in range(l + 1, n):
-                a *= 1j * lam * (k[p[j]] - k[p[l]]) + 1.0
+                a *= row[p[j]]
         out[p] = a
     return out
 
@@ -149,6 +155,10 @@ class BetheWavefunction:
             raise ValueError("amplitudes must cover S_N exactly once")
         k = np.asarray(self.momenta, dtype=float)
         self._amps = np.array([self.amplitudes[p] for p in perms], dtype=complex)
+        bad = np.flatnonzero(~np.isfinite(self._amps))
+        if bad.size:
+            p = perms[bad[0]]
+            raise ValueError(f"amplitude of permutation {p} is not finite: {self.amplitudes[p]}")
         self._kmat = np.array([[k[p[a]] for a in range(n)] for p in perms], dtype=float)
 
     @property
@@ -190,10 +200,15 @@ def gaudin_wavefunction(momenta, lam: float) -> BetheWavefunction:
 
     All amplitudes are divided by the identity amplitude; every |A_P| is
     then exactly 1, which keeps float evaluation well conditioned for large
-    lam.  This changes the wavefunction only by a global constant.
+    lam.  This changes the wavefunction only by a global constant.  A raw
+    amplitude that is not finite (the product overflows float64, or lam is
+    not finite) raises a ValueError that names lam and N.
     """
     k = tuple(float(v) for v in momenta)
     amps = gaudin_amplitudes(k, lam)
+    if not all(cmath.isfinite(a) for a in amps.values()):
+        raise ValueError(f"Gaudin amplitudes are not finite at lam = {lam}, N = {len(k)}: "
+                         "the product of pair factors overflows float64 or lam is not finite")
     a0 = amps[tuple(range(len(k)))]
     return BetheWavefunction(momenta=k, amplitudes={p: a / a0 for p, a in amps.items()})
 
@@ -536,14 +551,26 @@ def schrodinger_residual(wf: BetheWavefunction, x) -> float:
     One pass over wf's amplitude table at 40 mpmath digits (float64 cannot
     resolve a 1e-6 second-difference step below ~1e-3 relative error).
     From the N^2 phases exp(i k_m y_s) at the sorted point y, each term
-    A_P prod_s exp(i k_{P_s} y_s) is formed once and added to chi and to
-    W[s][m], the sum of the terms with momentum m in slot s.  A +-h shift of
-    slot s multiplies those by exp(+-i k_m h), so the central difference is
-    exactly D2_s chi = sum_m W[s][m] (2 cos(k_m h) - 2) / h^2, evaluated as
-    -4 sin^2(k_m h / 2) / h^2.  Returns |sum_s D2_s chi + E chi| /
-    (sum_s |D2_s chi| + |E chi|), ~h^2 k^2 / 12 for a true eigenfunction.
+    A_P prod_s exp(i k_{P_s} y_s) is formed once and added to W[s][m], the
+    sum of the terms with momentum m in slot s; chi is sum_m W[0][m].  A +-h
+    shift of slot s multiplies those by exp(+-i k_m h), so the central
+    difference is exactly D2_s chi = sum_m W[s][m] (2 cos(k_m h) - 2) / h^2,
+    evaluated as -4 sin^2(k_m h / 2) / h^2.  Returns |sum_s D2_s chi + E chi|
+    / (sum_s |D2_s chi| + |E chi|), ~h^2 k^2 / 12 for a true eigenfunction.
     Every plane wave of the table has energy E, so any amplitude set passes;
     the contact conditions (`bc_residual`) are what pin the amplitudes.
+
+    The N! terms are summed in fixed point, as Python integers scaled by
+    2^F with F = prec + 64 (prec the working precision in bits).  The
+    amplitudes are first divided by 2^e, e the binary exponent of their
+    largest component (`math.frexp`), so every component is below 1 at any
+    amplitude scale.  Each complex product truncates by >> F, the phases
+    carry one truncation each, and the sums are exact, so each W[s][m] is
+    off by fewer than 4 (N + 1) N! units of 2^(e - F), under
+    2^(e - prec - 43) at N = 8: less than one rounding of a term-by-term
+    mpmath sum.  W returns to mpmath as integer * 2^(e - F); the residual
+    is homogeneous of degree zero in the amplitudes, and any power-of-two
+    rescaling of them gives the same bits.
     """
     h = 1e-6
     xs = _checked_coords(wf, x)
@@ -558,16 +585,28 @@ def schrodinger_residual(wf: BetheWavefunction, x) -> float:
         hh = mp.mpf(h)
         k = [mp.mpf(float(v)) for v in wf.momenta]
         y = sorted(xs)
-        phase = [[mp.exp(mp.mpc(0, km * ys)) for ys in y] for km in k]
-        chi0 = mp.mpc(0)
-        w = [[mp.mpc(0)] * n for _ in range(n)]
-        for p, a in wf.amplitudes.items():
-            term = mp.mpc(complex(a))
+        frac = mp.mp.prec + 64
+        table = [(p, complex(a)) for p, a in wf.amplitudes.items()]
+        scale = math.frexp(max(max(abs(a.real), abs(a.imag)) for _, a in table))[1]
+        phase = [[(int(mp.ldexp(z.real, frac)), int(mp.ldexp(z.imag, frac)))
+                  for z in (mp.exp(mp.mpc(0, km * ys)) for ys in y)] for km in k]
+        w_re = [[0] * n for _ in range(n)]
+        w_im = [[0] * n for _ in range(n)]
+        for p, a in table:
+            re = int(math.ldexp(a.real, frac - scale))
+            im = int(math.ldexp(a.imag, frac - scale))
             for s, m in enumerate(p):
-                term *= phase[m][s]
-            chi0 += term
+                pr, pi = phase[m][s]
+                re, im = (re * pr - im * pi) >> frac, (re * pi + im * pr) >> frac
             for s, m in enumerate(p):
-                w[s][m] += term
+                w_re[s][m] += re
+                w_im[s][m] += im
+
+        def to_mpc(re, im):
+            return mp.mpc(mp.mpf((re, scale - frac)), mp.mpf((im, scale - frac)))
+
+        chi0 = to_mpc(sum(w_re[0]), sum(w_im[0]))
+        w = [list(map(to_mpc, row_re, row_im)) for row_re, row_im in zip(w_re, w_im)]
         d2_factor = [-4 * mp.sin(km * hh / 2) ** 2 / (hh * hh) for km in k]
         e_tot = mp.fsum(km ** 2 for km in k)
         num = e_tot * chi0

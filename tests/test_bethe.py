@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -178,6 +179,22 @@ def test_wavefunction_requires_full_amplitude_cover():
         BetheWavefunction(momenta=(0.0, 1.0), amplitudes={(0, 1): 1.0 + 0j})
 
 
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(1.0, math.inf)])
+def test_wavefunction_names_a_non_finite_amplitude(bad):
+    amps = {(0, 1, 2): 1.0 + 0j, (0, 2, 1): -1.0 + 0j, (1, 0, 2): -1.0 + 0j,
+            (1, 2, 0): bad, (2, 0, 1): 1.0 + 0j, (2, 1, 0): -1.0 + 0j}
+    with pytest.raises(ValueError, match=r"permutation \(1, 2, 0\) is not finite"):
+        BetheWavefunction(momenta=(0.0, 1.0, 2.5), amplitudes=amps)
+
+
+@pytest.mark.parametrize("lam, text", [(1e200, "lam = 1e+200, N = 3"), (math.nan, "lam = nan, N = 3")])
+def test_gaudin_wavefunction_names_lam_when_amplitudes_overflow(lam, text):
+    # the raw product overflows to inf, and inf / inf would leave only nan
+    # amplitudes for bc_residual and the probe
+    with pytest.raises(ValueError, match=re.escape(text)):
+        gaudin_wavefunction([0.0, 1.0, 2.5], lam)
+
+
 def test_one_sided_pair_matches_offset_limit():
     wf = gaudin_wavefunction([-1.3, 0.2, 1.9], 0.8)
     x = [0.7, 0.7, 2.4]
@@ -294,9 +311,37 @@ def _probe_cases():
 @pytest.mark.parametrize("wf, x", _probe_cases())
 def test_probe_matches_the_pointwise_formula_at_60_digits(wf, x):
     # the one-pass slot sums rearrange the central differences exactly; at
-    # 40 digits they agree with the 2N + 1 point sums at 60 digits
+    # 40 digits they give the same float as the 2N + 1 point sums at 60 digits
     reference = _pointwise_residual(wf, x, 60)
-    assert abs(schrodinger_residual(wf, x) - reference) <= 1e-14 * reference
+    assert schrodinger_residual(wf, x) == reference
+
+
+@pytest.mark.parametrize("e", [-300, -60, 60, 300])
+def test_probe_is_bit_identical_under_power_of_two_amplitude_scales(e):
+    # the residual is homogeneous of degree zero in the amplitudes, and the
+    # fixed-point sum is scaled to the table's largest component
+    wf = gaudin_wavefunction([-1.3, 0.2, 1.9, -2.4, 0.9], 3.7)
+    scaled = BetheWavefunction(wf.momenta, {p: a * 2.0 ** e for p, a in wf.amplitudes.items()})
+    x = [0.4, 1.3, 2.1, 3.0, 4.2]
+    assert schrodinger_residual(scaled, x) == schrodinger_residual(wf, x)
+
+
+def test_probe_forms_the_terms_without_mpmath_products(monkeypatch):
+    # the N! N term products run on integers; only the O(N^2) tail
+    # multiplies mpc values (the term-by-term mpmath sum makes N! N + N^2)
+    n = 6
+    cls = type(mp.mpc(1))
+    calls = []
+    original = cls.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    wf = gaudin_wavefunction([-1.3, 0.2, 1.9, -2.4, 0.9, 2.6], 0.8)
+    schrodinger_residual(wf, [0.4 + 0.8 * s for s in range(n)])
+    assert 0 < len(calls) <= n * n
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -315,7 +360,7 @@ def test_probe_makes_one_exponential_per_momentum_and_slot(n, monkeypatch):
     assert len(calls) == n * n
 
 
-@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("n", [6, 7, MAX_PARTICLES_ENUMERATED])
 def test_probe_passes_one_draw_at_large_n(n):
     (row,) = gaudin_residual_scan(n, 1, seed=1)
     assert row["schrodinger_residual"] <= 1e-6
