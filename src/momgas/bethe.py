@@ -7,7 +7,9 @@ eigenfunction is a Gaudin-type sum of plane waves,
     chi(x) = sum_{P in S_N} A_P exp(i sum_j k_{Pj} x_j),
     A_P = sgn(P) * prod_{1 <= l < j <= N} (i*lam*(k_{Pj} - k_{Pl}) + 1),
 
-and the extension off the wedge is antisymmetric.  `gaudin_amplitudes`
+and the extension off the wedge is antisymmetric.  `bc_residual` reads each
+contact x_j = x_k from one wedge sum, taken with the contact at the origin
+(`BetheWavefunction.contact_limits`).  `gaudin_amplitudes`
 returns the raw products; wavefunctions built by `gaudin_wavefunction`
 rescale all amplitudes by the identity amplitude (a global constant, so the
 same eigenfunction), which keeps every |A_P| = 1 and the evaluation well
@@ -76,7 +78,7 @@ __all__ = [
     "MAX_PARTICLES_ENUMERATED", "ConvergenceError",
     "BetheState", "BetheWavefunction",
     "gaudin_amplitudes", "gaudin_wavefunction",
-    "eval_wavefunction", "eval_gradient",
+    "eval_wavefunction",
     "solve_bethe", "solve_lieb_liniger", "bethe_residuals",
     "duality_check", "ground_state_scan", "ground_state_quantum_numbers",
     "schrodinger_residual", "gaudin_residual_scan",
@@ -126,10 +128,14 @@ def gaudin_amplitudes(momenta, lam: float) -> dict[tuple[int, ...], complex]:
     if n > MAX_PARTICLES_ENUMERATED:
         raise ValueError(f"N = {n} exceeds the N! enumeration guard ({MAX_PARTICLES_ENUMERATED})")
     _require_distinct(k, "momenta must be pairwise distinct (the determinant vanishes)")
+    # sgn(P) = prod_{l<j} sgn(P_j - P_l): each inverted pair's factor is negated
     pair = [[1j * lam * (kb - ka) + 1.0 for kb in k] for ka in k]
+    for a in range(n):
+        for b in range(a):
+            pair[a][b] = -pair[a][b]
     out = {}
     for p in itertools.permutations(range(n)):
-        a = complex(perm_sign(p))
+        a = 1 + 0j
         for l in range(n):
             row = pair[p[l]]
             for j in range(l + 1, n):
@@ -150,8 +156,8 @@ class BetheWavefunction:
 
     def __post_init__(self):
         n = len(self.momenta)
-        perms = sorted(self.amplitudes)
-        if perms != sorted(itertools.permutations(range(n))):
+        perms = list(itertools.permutations(range(n)))
+        if len(self.amplitudes) != len(perms) or not all(p in self.amplitudes for p in perms):
             raise ValueError("amplitudes must cover S_N exactly once")
         k = np.asarray(self.momenta, dtype=float)
         self._amps = np.array([self.amplitudes[p] for p in perms], dtype=complex)
@@ -159,40 +165,36 @@ class BetheWavefunction:
         if bad.size:
             p = perms[bad[0]]
             raise ValueError(f"amplitude of permutation {p} is not finite: {self.amplitudes[p]}")
-        self._kmat = np.array([[k[p[a]] for a in range(n)] for p in perms], dtype=float)
+        self._kmat = k[np.array(perms, dtype=np.intp).reshape(len(perms), n)]
 
     @property
     def n(self) -> int:
         return len(self.momenta)
 
-    def _wedge(self, y: np.ndarray) -> tuple[complex, np.ndarray]:
-        # value and gradient of the wedge formula at ordered coordinates y
-        phases = np.exp(1j * (self._kmat @ y))
-        terms = self._amps * phases
-        value = terms.sum()
-        grad = 1j * (self._kmat * terms[:, None]).sum(axis=0)
-        return value, grad
+    def _terms(self, y: np.ndarray) -> np.ndarray:
+        # the N! plane waves A_P exp(i k_P . y) of the wedge formula at ordered y
+        return self._amps * np.exp(1j * (self._kmat @ y))
 
-    def _sector_eval(self, x, tie=None) -> tuple[complex, np.ndarray]:
-        # tie = (j, k, side): side=+1 evaluates on x_j = x_k + 0+, i.e. k precedes j
-        n = self.n
-        rank = {m: 0 for m in range(n)}
-        if tie is not None:
-            j, k, side = tie
-            rank[j], rank[k] = (1, 0) if side > 0 else (0, 1)
-        order = sorted(range(n), key=lambda m: (x[m], rank[m]))
-        y = np.array([x[m] for m in order], dtype=float)
-        value, grad_y = self._wedge(y)
-        s = perm_sign(order)
-        grad_x = np.empty(n, dtype=complex)
-        grad_x[order] = s * grad_y
-        return s * value, grad_x
+    def contact_limits(self, x, pair) -> tuple[complex, complex, complex, complex]:
+        """Limits on x_j = x_k +- 0+, (j, k) = pair, with x_k read as x_j:
+        (value +, value -, (d_j - d_k) chi +, (d_j - d_k) chi -).
 
-    def one_sided_pair(self, x, pair, side) -> tuple[complex, np.ndarray]:
-        """Value and gradient on the side x_j = x_k + side*0+ of the contact
-        hyperplane, taken analytically by fixing the sector tie-break."""
+        The + side sorts k just before j, into slots r and r + 1; the - side
+        is that sector with the two swapped, of opposite sign and the same
+        (d_j - d_k) chi, so one sum of the N! terms gives all four.  It is
+        taken at y - x_j, the contact at the origin: y_r = y_{r+1} = 0 gives
+        the plane waves P and P o (r r+1) bit-identical phases.  Each limit
+        carries the unimodular factor exp(-i K x_j), K = sum_m k_m."""
         j, k = pair
-        return self._sector_eval([float(v) for v in x], tie=(j, k, side))
+        x = [float(v) for v in x]
+        x[k] = x[j]
+        order = sorted(range(self.n), key=lambda m: (x[m], m == j))
+        r = order.index(k)
+        terms = self._terms(np.array([x[m] - x[j] for m in order], dtype=float))
+        s = perm_sign(order)
+        value = s * terms.sum()
+        slope = s * (1j * (self._kmat[:, r + 1] - self._kmat[:, r]) * terms).sum()
+        return value, -value, slope, slope
 
 
 def gaudin_wavefunction(momenta, lam: float) -> BetheWavefunction:
@@ -223,12 +225,9 @@ def _checked_coords(wf: BetheWavefunction, x) -> list[float]:
 
 def eval_wavefunction(wf: BetheWavefunction, x) -> complex:
     """Evaluate wf at pairwise-distinct coordinates x (any sector)."""
-    return wf._sector_eval(_checked_coords(wf, x))[0]
-
-
-def eval_gradient(wf: BetheWavefunction, x) -> np.ndarray:
-    """Analytic gradient of wf at pairwise-distinct coordinates x."""
-    return wf._sector_eval(_checked_coords(wf, x))[1]
+    xs = _checked_coords(wf, x)
+    order = sorted(range(wf.n), key=xs.__getitem__)
+    return perm_sign(order) * wf._terms(np.array([xs[m] for m in order], dtype=float)).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +622,7 @@ def gaudin_residual_scan(n: int, draws: int, seed: int = 0) -> list[dict]:
 
     Per draw: random distinct momenta in (-3, 3) and coupling in (0.1, 10),
     one `gaudin_wavefunction` state, its contact-condition defects on every
-    adjacent hyperplane x_j = x_{j+1} (analytic one-sided evaluation), and
+    adjacent hyperplane x_j = x_{j+1} (one wedge sum per contact), and
     its finite-difference Schroedinger residual at a random interior point.
     Deterministic for a fixed seed.
     """

@@ -169,16 +169,19 @@ def bc_residual(wavefunction, lam: float, pair: tuple[int, int],
                 base_point) -> BoundaryResidual:
     """Defects of the N-body matching conditions at a point on x_j = x_k.
 
-    `wavefunction` is a `bethe.BetheWavefunction`; its
-    ``one_sided_pair(x, pair, side) -> (value, gradient)`` takes the limits
-    x_j = x_k +- 0+ analytically.  `pair` holds 0-based coordinate indices
-    (j, k); `base_point` holds one coordinate per particle and must lie on
-    the hyperplane x_j = x_k with all spectator coordinates distinct from
-    each other and from the contact value.
+    `wavefunction` is a `bethe.BetheWavefunction`; one call to its
+    ``contact_limits(x, pair) -> (vp, vm, dplus, dminus)`` takes the values
+    and the (d_j - d_k) derivatives on x_j = x_k +- 0+ analytically.
+    `pair` holds 0-based coordinate indices (j, k); `base_point` holds one
+    coordinate per particle and must lie on the hyperplane x_j = x_k (to
+    1e-9 relative; x_k is then read as x_j) with all spectator coordinates
+    distinct from each other and from the contact value.
 
     Returns the defect of both matching conditions:
     (d_j - d_k) chi continuity, and the value jump minus
-    2*lam*(d_j - d_k) chi taken on the x_j = x_k - 0+ side.
+    2*lam*(d_j - d_k) chi taken on the x_j = x_k - 0+ side.  The first
+    holds by antisymmetry for every amplitude table, so `derivative_jump`
+    is exactly 0.0; the second pins the amplitudes.
     """
     j, k = pair
     x = [float(v) for v in base_point]
@@ -200,10 +203,7 @@ def bc_residual(wavefunction, lam: float, pair: tuple[int, int],
             if abs(va - vb) < 1e-9 * scale:
                 raise ValueError("spectator coordinates coincide; the sector is ill-defined")
 
-    vp, gp = wavefunction.one_sided_pair(x, pair, +1)
-    vm, gm = wavefunction.one_sided_pair(x, pair, -1)
-    dplus = gp[j] - gp[k]
-    dminus = gm[j] - gm[k]
+    vp, vm, dplus, dminus = wavefunction.contact_limits(x, pair)
     return BoundaryResidual(
         derivative_jump=dplus - dminus,
         value_jump_defect=(vp - vm) - 2.0 * lam * dminus,

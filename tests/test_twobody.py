@@ -184,6 +184,28 @@ def test_generic_plane_wave_has_nonzero_value_defect():
     assert abs(true.value_jump_defect) <= 1e-14
 
 
+@pytest.mark.parametrize("wf", [gaudin_wavefunction((-1.3, 0.2, 1.9, -2.4), 2.5),
+                                _mutant((-1.3, 0.2, 1.9, -2.4), 2.5, (1, 0, 2, 3))],
+                         ids=["gaudin", "mutant"])
+def test_derivative_jump_is_exactly_zero_for_any_table(wf):
+    # the two sides of x_j = x_k are one sector with j and k swapped, so
+    # (d_j - d_k) chi is continuous by antisymmetry, whatever the amplitudes
+    spectators = [0.3, 4.1]
+    for j in range(wf.n - 1):
+        point = spectators[:j] + [1.7, 1.7] + spectators[j:]
+        for pair in ((j, j + 1), (j + 1, j)):
+            assert bc_residual(wf, 2.5, pair, point).derivative_jump == 0.0
+
+
+def test_bc_residual_reads_a_point_within_tolerance_at_the_contact():
+    # x_k within the hyperplane tolerance of x_j is read as x_j, so the
+    # check is that of the contact, not of the sector next to it
+    wf = gaudin_wavefunction((-1.3, 0.2, 1.9), 0.8)
+    near = bc_residual(wf, 0.8, (0, 1), [0.7, 0.7 + 1e-12, 2.4])
+    assert near == bc_residual(wf, 0.8, (0, 1), [0.7, 0.7, 2.4])
+    assert abs(near.value_jump_defect) <= 1e-14
+
+
 def test_bc_residual_validates_geometry():
     wf = _mutant()
     with pytest.raises(ValueError):
