@@ -17,8 +17,8 @@ The package implements, in units 2m = hbar = 1:
     state energy it determines  (`regularize`),
   * a CLI exposing each operation with JSON/CSV output  (`cli`).
 
-Importing the package loads none of its submodules, and so none of numpy,
-mpmath or scipy: each exported name imports its submodule on first use
+Importing the package loads none of its submodules, and so neither numpy
+nor mpmath: each exported name imports its submodule on first use
 (PEP 562), so a cold process pays only for the libraries it uses.
 """
 
@@ -29,8 +29,8 @@ __version__ = "0.1.0"
 
 class ConvergenceError(RuntimeError):
     """A numerical computation failed to reach its target: a Newton solve
-    exhausted or stalled, a quadrature with too large an error estimate or a
-    value above its modulus bound or below its lower bound, or a
+    exhausted or stalled, a Fourier sum with too large an error estimate or
+    a value above its modulus bound or below its lower bound, or a
     non-positive extrapolated integral.
     Defined here, not in a submodule, so that catching it imports neither
     numpy nor mpmath; `bethe` and `regularize` raise this same class."""

@@ -15,9 +15,9 @@ Exit codes separate misuse from falsification:
   1  validation error (bad flags, out-of-guard N, malformed or non-finite numbers,
      attractive-sector solve, finite flags whose arithmetic leaves the float64
      range, ...)
-  2  numerical non-convergence (Newton iteration exhausted, a quadrature error
-     estimate too large or value above its modulus bound or below its lower
-     bound, a non-positive extrapolated integral in reg-bound-state)
+  2  numerical non-convergence (Newton iteration exhausted, a Fourier sum
+     error estimate too large or value above its modulus bound or below its
+     lower bound, a non-positive extrapolated integral in reg-bound-state)
   3  exact-check failure: unitarity false, a zero Yang-Baxter defect at a
      generic triple, a nonzero one-dimensional projection, or a nonzero
      delta-control defect.  These cannot happen unless the underlying

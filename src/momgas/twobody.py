@@ -30,7 +30,8 @@ Scattering states are returned unnormalized, exactly as written above.
 
 Conventions fixed here and relied on by every other module:
 
-  * units 2m = hbar = 1; lam is dimensionless in these units;
+  * units 2m = hbar = 1; lam is a length (E = -1/(4 lam^2),
+    theta = 2 arctan(lam u));
   * the formal chi'(0) generated by the interaction is the average of the
     left and right derivatives (they coincide on eigenfunctions);
   * sgn(0) = 0, so chi_minus(0) is that average of its one-sided limits;

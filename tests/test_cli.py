@@ -304,23 +304,52 @@ def test_exit_2_when_the_extrapolated_integral_is_not_positive(capsys, monkeypat
     assert "r = -5 is not positive at lam = -1" in err
 
 
+def _assert_rows_match_closed_form(record):
+    for row in record["results"]["rows"]:
+        assert row["value"] == pytest.approx(row["closed_form"], rel=1e-12, abs=0)
+
+
 def test_exit_2_names_the_quadrature_when_the_regularized_integral_breaks_its_bound(capsys):
-    # at |E| = 1e-14 quad's value at the first node breaks its bound; the error names that
-    assert main(["reg-integral", "--lambda=-1e6", "--e-abs=1e-14",
-                 "--epsilons=8000,4000,2000"]) == 2
+    # scipy's quad broke its modulus bound at |E| = 1e-14 (about 1.8e308 at
+    # the first node); the double-exponential sum depends on eps sqrt|E| alone
+    code, record = run_json(capsys, ["reg-integral", "--lambda=-1e6", "--e-abs=1e-14",
+                                     "--epsilons=8000,4000,2000"])
+    assert code == 0
+    _assert_rows_match_closed_form(record)
+    # a scan of omega = eps sqrt|E| finds the sum failing below omega ~ 8e-11;
+    # at omega = 4e-100 it returns J = 1.854, above pi/2
+    assert main(["reg-integral", "--lambda", "-1", "--e-abs", "0.25",
+                 "--epsilons", "8e-100,4e-100,2e-100"]) == 2
     err = capsys.readouterr().err
-    assert "above the modulus bound pi/(2 sqrt|E|)" in err
-    assert "epsilon = 8000, |E| = 1e-14" in err
+    assert "returned J = 1.85377" in err
+    assert "above the modulus bound pi/2" in err
+    assert "at epsilon = 8e-100, |E| = 0.25 (omega = eps sqrt|E| = 4e-100)" in err
 
 
 def test_exit_2_names_the_lower_bound_when_a_small_node_is_silently_wrong(capsys):
-    # at eps sqrt|E| <= 2e-6 quad returns a small negative value with a tiny
-    # error estimate; the closed form is 0.999998
+    # quad returned a small negative value with a tiny error estimate at
+    # eps sqrt|E| <= 2e-6; the double-exponential sum is right there
+    code, record = run_json(capsys, ["reg-integral", "--lambda", "-1", "--e-abs", "0.25",
+                                     "--epsilons", "4e-6,2e-6,1e-6"])
+    assert code == 0
+    _assert_rows_match_closed_form(record)
+    # in the same scan, at omega = 2e-100 the sum returns J = 1.235, below
+    # pi/2 - 2 omega
     assert main(["reg-integral", "--lambda", "-1", "--e-abs", "0.25",
-                 "--epsilons", "4e-6,2e-6,1e-6"]) == 2
+                 "--epsilons", "4e-100,2e-100,1e-100"]) == 2
     err = capsys.readouterr().err
-    assert "below the lower bound (pi/2 - 2 eps sqrt|E|)/sqrt|E| = 3.14158" in err
-    assert "epsilon = 4e-06, |E| = 0.25" in err
+    assert "below the lower bound pi/2 - 2 omega = 1.5707963267948966" in err
+    assert "at epsilon = 4e-100, |E| = 0.25 (omega = eps sqrt|E| = 2e-100)" in err
+
+
+def test_exit_2_names_eps_and_energy_when_omega_is_subnormal(capsys):
+    # omega = eps sqrt|E| at or below 1e-323: the sum returns about 1e-174,
+    # or exactly 0 once omega underflows, and the lower bound names the node
+    assert main(["reg-integral", "--lambda", "-1", "--e-abs", "0.25",
+                 "--epsilons", "2e-323,1e-323,5e-324"]) == 2
+    err = capsys.readouterr().err
+    assert "below the lower bound" in err
+    assert "at epsilon = 1.97626e-323, |E| = 0.25" in err
 
 
 @pytest.mark.parametrize("argv, cause", [

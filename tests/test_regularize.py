@@ -1,5 +1,6 @@
-"""Regularized self-consistency integral: quadrature vs closed form,
-extrapolation, and the bound-state energy from the sqrt(|E|) scaling."""
+"""Regularized self-consistency integral: the double-exponential Fourier
+sum vs closed form, its guards, extrapolation, and the bound-state energy
+from the sqrt(|E|) scaling."""
 
 import math
 import os
@@ -46,24 +47,82 @@ def test_closed_form_formula():
 
 
 def test_value_vanishes_with_energy():
-    # sqrt(|E|) prefactor: no bound state at zero energy.  eps sqrt|E| = 1e-3
-    # here; at eps = 0.1 (1e-6) quad is wrong and the call raises, see below
+    # sqrt(|E|) prefactor: no bound state at zero energy (eps sqrt|E| = 1e-3)
     value = regularized_integral(-1.0, 1e-10, 100.0)
     assert value == pytest.approx(closed_form(-1.0, 1e-10, 100.0), rel=1e-9, abs=0)
     assert value < 2e-5
     assert abs(closed_form(-1.0, 1e-12, 0.1)) < 1e-5
 
 
+# A scan of regularized_integral(-1, 1, omega) at 100 points per decade of
+# omega = eps sqrt|E| from 4e-33 to 1 finds the sum failing below omega ~ 8e-11,
+# where its nodes no longer resolve t ~ 1: 1108 points under the lower bound,
+# 1102 above the modulus bound and 12 on the error estimate.  Each guard is
+# pinned at one of them.
+
+
 def test_quadrature_below_its_lower_bound_is_a_convergence_error():
-    # at eps sqrt|E| = 1e-6 quad returns about -(pi/2) eps with an error
-    # estimate of 9e-14, where 1 - cos x <= min(2, x^2/2)
-    # bounds the integral below by (pi/2 - 2 eps sqrt|E|)/sqrt|E| > 0
+    # scipy's quad returned about -(pi/2) eps at eps sqrt|E| = 1e-6 with an
+    # error estimate of 9e-14; the double-exponential sum is right there
+    assert regularized_integral(-1.0, 1e-10, 0.1) == pytest.approx(
+        closed_form(-1.0, 1e-10, 0.1), rel=1e-12, abs=0)
+    # at omega = 2e-100 the sum returns J = 1.235, where 1 - cos x <= min(2, x^2/2)
+    # bounds J below by pi/2 - 2 omega
     with pytest.raises(ConvergenceError) as err:
-        regularized_integral(-1.0, 1e-10, 0.1)
+        regularized_integral(-1.0, 0.25, 4e-100)
     message = str(err.value)
-    assert float(re.search(r"returned (\S+),", message).group(1)) < 0
-    assert "below the lower bound (pi/2 - 2 eps sqrt|E|)/sqrt|E| = 157079" in message
-    assert "epsilon = 0.1, |E| = 1e-10" in message
+    assert float(re.search(r"returned J = (\S+),", message).group(1)) < math.pi / 2
+    assert "below the lower bound pi/2 - 2 omega = 1.5707963267948966" in message
+    assert "at epsilon = 4e-100, |E| = 0.25 (omega = eps sqrt|E| = 2e-100)" in message
+
+
+def test_an_underflowing_omega_is_a_convergence_error_naming_eps_and_energy():
+    # eps sqrt|E| = 2.5e-324 rounds to 0: the sum is exactly 0, not a math
+    # domain error, and the lower bound names eps and |E|
+    with pytest.raises(ConvergenceError) as err:
+        regularized_integral(-1.0, 0.25, 5e-324)
+    message = str(err.value)
+    assert "returned J = 0.0, below the lower bound" in message
+    assert "at epsilon = 4.94066e-324, |E| = 0.25 (omega = eps sqrt|E| = 0)" in message
+
+
+def test_quadrature_error_estimate_is_a_convergence_error():
+    # at omega = 5e-11 J passes both bounds, but J(h) and J(2h) differ by 2.2e-5
+    with pytest.raises(ConvergenceError) as err:
+        regularized_integral(-1.0, 1.0, 5e-11)
+    message = str(err.value)
+    assert "error estimate |J(h) - J(2h)| = 2.21554e-05 too large" in message
+    assert "at epsilon = 5e-11, |E| = 1 (omega = eps sqrt|E| = 5e-11)" in message
+
+
+def test_every_value_that_passes_the_guards_is_close_to_the_closed_form():
+    # omega from 1e-12 to 1e-8, across the edge where the sum starts to fail:
+    # the guards let through nothing worse than 4e-11 relative (3.9e-11 at
+    # omega = 4.4e-11 is the worst in the scan above), and they reject
+    # nothing from 1e-10 up
+    failed = []
+    for k in range(401):
+        omega = 10.0 ** (-12.0 + k / 100)
+        try:
+            value = regularized_integral(-1.0, 1.0, omega)
+        except ConvergenceError:
+            failed.append(omega)
+            continue
+        assert value == pytest.approx(closed_form(-1.0, 1.0, omega), rel=4e-11, abs=0), omega
+    assert failed and max(failed) < 1e-10
+
+
+def test_fourier_sum_matches_the_closed_form_from_1e_minus_8_to_100():
+    # lam = -pi/4 at |E| = 1 makes the prefactor 4 |lam| sqrt|E|/pi exactly 1,
+    # so the value is J(omega) itself, against (pi/2) e^(-omega)
+    for k in range(201):
+        omega = 10.0 ** (-8.0 + k / 20)
+        value = regularized_integral(-math.pi / 4, 1.0, omega)
+        exact = closed_form(-math.pi / 4, 1.0, omega)
+        if omega <= 3.0:
+            assert value == pytest.approx(exact, rel=1e-12, abs=0), omega
+        else:
+            assert abs(value - exact) <= 2e-15, omega
 
 
 @pytest.mark.parametrize("e_abs", [1e-2, 1.0, 1e2])
@@ -187,19 +246,18 @@ def test_bound_state_energy_names_a_non_positive_extrapolated_integral(monkeypat
 
 
 def test_bound_state_energy_sweeps_couplings_down_to_minus_1e6():
-    # the quadrature runs at |E| = 1 only; at the bound-state energy itself it
-    # would fail below lam = -5e4, where |E| < 1e-10 and quad returns 1.8e308
+    # the integral is taken at |E| = 1 only, so every coupling costs the same
     for lam in (-10.0 ** (-3.0 + 0.9 * j) for j in range(11)):
         expected = -1.0 / (4.0 * lam * lam)
         energy = bound_state_energy_via_regularization(lam)
         assert abs(energy - expected) <= 1e-8 * abs(expected), lam
 
 
-@pytest.mark.parametrize("e_abs", [0.01, 1.0, 100.0, 1e4])
+@pytest.mark.parametrize("e_abs", [1e-10, 1e-6, 0.01, 1.0, 100.0, 1e4])
 def test_integral_scales_as_sqrt_energy_at_rescaled_epsilon(e_abs):
     # q = sqrt(|E|) t gives I(w/sqrt|E|, |E|) = sqrt(|E|) I(w, 1), the identity
-    # bound_state_energy_via_regularization rests on.  At |E| = 1e-6 quad's
-    # q-form drifts from it by 4.8e-9 at w = 8e-4, so it is not in this grid.
+    # bound_state_energy_via_regularization rests on.  scipy's quad integrated
+    # in q and drifted from it by 4.8e-9 at |E| = 1e-6, w = 8e-4.
     s = math.sqrt(e_abs)
     for w in (2e-4, 8e-4, 0.1):
         scaled = s * regularized_integral(-0.7, 1.0, w)
@@ -207,21 +265,23 @@ def test_integral_scales_as_sqrt_energy_at_rescaled_epsilon(e_abs):
 
 
 def test_quadrature_above_its_modulus_bound_is_a_convergence_error():
-    # at |E| = 1e-14 quad returns about 1.8e308 with a small relative error
-    # estimate, where |int cos(eps q)/(q^2 + |E|) dq| <= pi/(2 sqrt|E|)
+    # scipy's quad returned about 1.8e308 at |E| = 1e-14 with a small relative
+    # error estimate; the double-exponential sum is right there
+    assert regularized_integral(-1e6, 1e-14, 2000.0) == pytest.approx(
+        closed_form(-1e6, 1e-14, 2000.0), rel=1e-12, abs=0)
+    # at omega = 4e-100 the sum returns J = 1.854, where
+    # |int cos(omega t)/(1 + t^2) dt| <= pi/2
     with pytest.raises(ConvergenceError) as err:
-        regularized_integral(-1e6, 1e-14, 2000.0)
+        regularized_integral(-1.0, 1.0, 4e-100)
     message = str(err.value)
-    value = float(re.search(r"returned (\S+),", message).group(1))
-    assert value > math.pi / (2.0 * math.sqrt(1e-14))
-    assert "pi/(2 sqrt|E|) = 1.5708e+07" in message
-    assert "epsilon = 2000, |E| = 1e-14" in message
-    assert closed_form(-1e6, 1e-14, 2000.0) == pytest.approx(0.19996, rel=1e-4)
+    assert float(re.search(r"returned J = (\S+),", message).group(1)) > math.pi / 2
+    assert "above the modulus bound pi/2" in message
+    assert "at epsilon = 4e-100, |E| = 1 (omega = eps sqrt|E| = 4e-100)" in message
 
 
 def test_importing_momgas_leaves_scipy_unloaded():
-    # scipy.integrate is imported by regularized_integral on first use; a
-    # cold `import momgas` must not pay for it
+    # a cold `import momgas` loads no scipy; no subcommand loads it either
+    # (FOOTPRINT below)
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = "import sys, momgas; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -231,15 +291,15 @@ def test_importing_momgas_leaves_scipy_unloaded():
 
 
 # the heavy libraries a cold process loads, by what it runs: the exact
-# algebra, the two-body closed forms and the coupling maps need none of them
+# algebra, the two-body closed forms, the coupling maps and the regularized
+# integral need none of them
 HEAVY = ("mpmath", "numpy", "scipy")
 FOOTPRINT = {
     "two-body": (), "bound-state": (), "yb-check": (), "delta-control": (),
-    "coupling-maps": (), "coleman": (),
+    "coupling-maps": (), "coleman": (), "reg-integral": (), "reg-bound-state": (),
     "bethe-solve": ("numpy",), "ll-solve": ("numpy",), "duality": ("numpy",),
     "gs-scan": ("numpy",), "vertex-scan": ("numpy",), "dispersion-scan": ("numpy",),
     "gaudin-check": ("mpmath", "numpy"),
-    "reg-integral": ("numpy", "scipy"), "reg-bound-state": ("numpy", "scipy"),
 }
 _LOADED = f"sorted(m for m in {HEAVY} if m in sys.modules)"
 

@@ -79,13 +79,13 @@ def test_one_convergence_error_class():
     with pytest.raises(momgas.ConvergenceError) as stall:
         bethe.solve_bethe(4, 10.0, 5.0, max_iter=1)
     with pytest.raises(momgas.ConvergenceError) as quadrature:
-        regularize.regularized_integral(-1e6, 1e-14, 8000.0)
+        regularize.regularized_integral(-1.0, 0.25, 4e-100)
     assert type(stall.value) is type(quadrature.value) is momgas.ConvergenceError
 
 
 @pytest.mark.parametrize("argv", [["bethe-solve", "--n", "256", "--box", "256", "--lambda", "1"],
-                                  ["reg-integral", "--lambda=-1e6", "--e-abs=1e-14",
-                                   "--epsilons=8000,4000,2000"]])
+                                  ["reg-integral", "--lambda", "-1", "--e-abs", "0.25",
+                                   "--epsilons", "4e-100,2e-100,1e-100"]])
 def test_a_cold_cli_still_exits_2_on_non_convergence(fresh_python, argv):
     proc = fresh_python("import sys; from momgas.cli import main; sys.exit(main())", *argv)
     assert proc.returncode == 2, proc.stderr
