@@ -7,13 +7,40 @@ eigenfunction is a Gaudin-type sum of plane waves,
     chi(x) = sum_{P in S_N} A_P exp(i sum_j k_{Pj} x_j),
     A_P = sgn(P) * prod_{1 <= l < j <= N} (i*lam*(k_{Pj} - k_{Pl}) + 1),
 
-and the extension off the wedge is antisymmetric.  `bc_residual` reads each
-contact x_j = x_k from one wedge sum, taken with the contact at the origin
-(`BetheWavefunction.contact_limits`).  `gaudin_amplitudes`
-returns the raw products; wavefunctions built by `gaudin_wavefunction`
-rescale all amplitudes by the identity amplitude (a global constant, so the
-same eigenfunction), which keeps every |A_P| = 1 and the evaluation well
-conditioned at large lam.
+and the extension off the wedge is antisymmetric.  `gaudin_amplitudes`
+returns these raw products.  A state (`BetheWavefunction`) is the momenta
+and the pair ratios of A_P / A_id, the same eigenfunction up to a global
+constant:
+
+    A_P / A_id = prod_{l<j} g[P_l][P_j],
+    g[a][b] = 1 (a < b),
+    g[a][b] = -(1 + i*lam*(k_b - k_a)) / (1 - i*lam*(k_b - k_a)) (a > b),
+
+where g[a][b] is the factor the pair picks up when a is placed before b.
+Every g is unimodular, so every |A_P / A_id| = 1 at any lam.
+
+Recursion over subsets.  Placing momentum m in slot s, after the set S
+(|S| = s) of those already placed, multiplies a term by
+t(S, m) = T(S, m) exp(i k_m y_s), T(S, m) = prod_{a in S} g[a][m], which
+depends on the set S and not on its order.  So the N! plane waves sum by a
+dynamic program over subsets (Held and Karp, J. SIAM 10, 196 (1962)) in
+O(2^N N) products instead of N! N: the forward pass
+F(S + {m}) += F(S) t(S, m) from F({}) = 1, the backward pass
+B(S) = sum_{m not in S} t(S, m) B(S + {m}) from B(all) = 1, and the slot
+sums
+
+    W[s][m] = sum over P with P_s = m of the terms
+            = sum_{|S| = s, m not in S} F(S) t(S, m) B(S + {m}),
+
+with chi = sum_m W[s][m] for any s.  Since g[a][m] = 1 for a < m,
+T(S, m) depends only on the members of S above m: the N tables of T take
+2^N - 1 entries in all.  The passes run one layer of subsets (one |S|) at
+a time.  `bc_residual` reads each contact x_j = x_k in slots r and r + 1
+from one such sum, taken with the contact at the origin
+(`BetheWavefunction.contact_limits`): the value sum_m W[r][m] and the
+slope i sum_m k_m (W[r+1][m] - W[r][m]), in complex float.
+`eval_wavefunction` is the backward pass alone.  The amplitude table
+itself (`BetheWavefunction.amplitudes`) is built only on request.
 
 Ring quantization.  On a ring of circumference L with boundary phase
 eta in {0, pi} the momenta obey
@@ -48,25 +75,30 @@ own theta, so `duality_check` compares two independent codings of the same
 equation.
 
 Schroedinger probe.  `schrodinger_residual` takes a wavefunction, as
-`bc_residual` does, and makes one pass over that object's own amplitude
-table at 40 mpmath digits: N^2 exponentials exp(i k_m y_s) give every
-plane wave as a product of per-slot phases, and a +-h shift of one slot
-rescales each momentum's terms there, so all N second differences come
-from the same N! terms.  Those N! products and their slot sums run on
-Python integers in fixed point, 64 bits finer than the working precision
-and scaled to the largest amplitude, so only the N^2 phases and the final
-O(N^2) combination are mpmath operations.  `gaudin_residual_scan` builds
-one state per draw and passes it to both checks.  mpmath is imported by
-the probe on first use, so the ring solvers load numpy alone.
+`bc_residual` does, and runs the same recursion at 40 mpmath digits: N^2
+exponentials exp(i k_m y_s) give the per-slot phases, and a +-h shift of
+slot s rescales each momentum's terms there, so all N second differences
+come from the slot sums W.  The recursion runs on Python integers in fixed
+point, 64 bits finer than the working precision, so only the N^2 phases
+and the final O(N^2) combination are mpmath operations; its error bound,
+fewer than 2^21 units of the last fixed-point bit at N = 8, is derived in
+the function's docstring.  `gaudin_residual_scan` builds one state per
+draw and passes it to both checks.  mpmath is imported by the probe on
+first use, so the ring solvers load numpy alone.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
+import numbers
+import operator
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,24 +147,43 @@ def _require_distinct(values, message: str) -> None:
         raise ValueError(message)
 
 
+def _require_finite(values, name: str) -> list[float]:
+    out = [float(v) for v in values]
+    if not all(map(math.isfinite, out)):
+        i = next(i for i, v in enumerate(out) if not math.isfinite(v))
+        raise ValueError(f"{name} {i} is not finite: {out[i]}")
+    return out
+
+
+def _gaudin_momenta(momenta) -> tuple[float, ...]:
+    k = _require_finite(momenta, "momentum")
+    if not k:
+        raise ValueError("need at least one momentum")
+    _require_distinct(k, "momenta must be pairwise distinct (the determinant vanishes)")
+    return tuple(k)
+
+
 def gaudin_amplitudes(momenta, lam: float) -> dict[tuple[int, ...], complex]:
     """Raw wedge amplitudes A_P = sgn(P) * prod_{l<j} (i lam (k_Pj - k_Pl) + 1).
 
     Keys are permutations of range(N) in one-line notation (P[j] is the index
     of the momentum occupying slot j).  At lam = 0 this reduces to sgn(P).
     """
-    k = [float(v) for v in momenta]
+    k = _gaudin_momenta(momenta)
     n = len(k)
-    if n < 1:
-        raise ValueError("need at least one momentum")
     if n > MAX_PARTICLES_ENUMERATED:
         raise ValueError(f"N = {n} exceeds the N! enumeration guard ({MAX_PARTICLES_ENUMERATED})")
-    _require_distinct(k, "momenta must be pairwise distinct (the determinant vanishes)")
     # sgn(P) = prod_{l<j} sgn(P_j - P_l): each inverted pair's factor is negated
     pair = [[1j * lam * (kb - ka) + 1.0 for kb in k] for ka in k]
     for a in range(n):
         for b in range(a):
             pair[a][b] = -pair[a][b]
+    return _permutation_products(pair)
+
+
+def _permutation_products(pair) -> dict[tuple[int, ...], complex]:
+    # prod_{l<j} pair[P_l][P_j] for every permutation P of range(N)
+    n = len(pair)
     out = {}
     for p in itertools.permutations(range(n)):
         a = 1 + 0j
@@ -144,36 +195,147 @@ def gaudin_amplitudes(momenta, lam: float) -> dict[tuple[int, ...], complex]:
     return out
 
 
+def _gather(indices):
+    # itemgetter that returns a tuple for any number of indices
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return operator.itemgetter(*indices)
+
+
+class _Layer(NamedTuple):
+    # the pairs (S, m) with |S| = s and m not in S, S in increasing mask
+    # order and then m, as gathers: T(S, m) from the flat columns, the phase
+    # exp(i k_m y_s) from the flat phases, F(S) from layer s, B(S + {m}) from
+    # layer s + 1, k_m from the momenta; by_union and by_momentum reorder
+    # the pairs by S + {m} (s + 1 each) and by m (C(N - 1, s) each)
+    col: Callable
+    phase: Callable
+    below: Callable
+    above: Callable
+    momentum: Callable
+    by_union: Callable
+    by_momentum: Callable
+
+
+@functools.cache
+def _layers(n: int) -> list[_Layer]:
+    # a _Layer per size s = 0..n-1; a layer lists its subsets (bit masks) in
+    # increasing order
+    masks = [[s for s in range(1 << n) if s.bit_count() == size] for size in range(n + 1)]
+    place = {s: i for layer in masks for i, s in enumerate(layer)}
+    layers = []
+    for size in range(n):
+        pairs = [(s, m) for s in masks[size] for m in range(n) if not s >> m & 1]
+        union = sorted(range(len(pairs)), key=lambda i: (place[pairs[i][0] | 1 << pairs[i][1]],
+                                                         pairs[i][1]))
+        momentum = sorted(range(len(pairs)), key=lambda i: pairs[i][1])
+        layers.append(_Layer(
+            col=_gather([(1 << n) - (1 << n - m) + (s >> m + 1) for s, m in pairs]),
+            phase=_gather([m * n + size for _, m in pairs]),
+            below=_gather([place[s] for s, _ in pairs]),
+            above=_gather([place[s | 1 << m] for s, m in pairs]),
+            momentum=_gather([m for _, m in pairs]),
+            by_union=_gather(union),
+            by_momentum=_gather(momentum)))
+    return layers
+
+
+def _pair_columns(g, one, mul) -> list:
+    # T(S, m) = prod_{a in S} g[a][m] for m not in S; g[a][m] is one for
+    # a < m, so T(S, m) depends on S only through its members above m, and
+    # column m is a table over the subsets of {m + 1, .., N - 1} (the bits of
+    # S >> (m + 1)); the N columns are concatenated, 2^N - 1 entries in all
+    out = []
+    for m in range(len(g)):
+        col = [one]
+        for a in range(m + 1, len(g)):
+            col += [mul(c, g[a][m]) for c in col]
+        out += col
+    return out
+
+
+def _groups(terms, size: int, total) -> list:
+    # totals of consecutive runs of `size` terms
+    return list(map(total, zip(*[iter(terms)] * size)))
+
+
+def _passes(cols, phases, lo, hi, one, mul, total) -> tuple[list, list, list, list]:
+    # the recursion over subsets of the module docstring in the arithmetic
+    # (one, mul, total), one layer of subsets at a time, from the flat
+    # columns T of `_pair_columns` and the N^2 phases exp(i k_m y_s), flat
+    # at m * N + s: per size s, the forward sums F(S) for s <= hi with the
+    # terms F(S) t(S, m) of size s < hi, and the backward sums B(S) for
+    # s >= lo with the terms t(S, m) B(S + {m}) of size s, where
+    # t(S, m) = T(S, m) exp(i k_m y_s)
+    n = math.isqrt(len(phases))
+    layers = _layers(n)
+    factors = [list(map(mul, p.col(cols), p.phase(phases))) for p in layers]
+    back, products = [None] * n + [[one]], [None] * n
+    for size in range(n - 1, lo - 1, -1):
+        terms = products[size] = (factors[size] if size == n - 1 else
+                                  list(map(mul, factors[size], layers[size].above(back[size + 1]))))
+        back[size] = _groups(terms, n - size, total)
+    forward, incs = [[one]] + [None] * n, [None] * n
+    for size in range(hi):
+        p = layers[size]
+        terms = incs[size] = (factors[size] if size == 0 else
+                              list(map(mul, p.below(forward[size]), factors[size])))
+        forward[size + 1] = _groups(p.by_union(terms), size + 1, total)
+    return forward, incs, back, products
+
+
 @dataclass
 class BetheWavefunction:
-    """A fermion Bethe-ansatz wavefunction: momenta plus permutation
-    amplitudes of the wedge formula, extended antisymmetrically off the wedge.
+    """A fermion Bethe-ansatz wavefunction: momenta plus the pair ratios g
+    of its wedge amplitudes, A_P / A_id = prod_{l<j} g[P_l][P_j], extended
+    antisymmetrically off the wedge.
+
+    `pair_ratios` is an N x N matrix: 1 on and above the diagonal and
+    unimodular below it (to 1e-12), where g[a][b] is the factor a pair
+    picks up when a is placed before b.  N is capped at
+    MAX_PARTICLES_ENUMERATED.
     """
     momenta: tuple[float, ...]
-    amplitudes: dict[tuple[int, ...], complex]
-    _amps: np.ndarray = field(init=False, repr=False)
-    _kmat: np.ndarray = field(init=False, repr=False)
+    pair_ratios: tuple[tuple[complex, ...], ...]
+    # T(S, m) of the recursion (`_pair_columns`), shared by every float sum
+    _columns: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.momenta = tuple(_require_finite(self.momenta, "momentum"))
         n = len(self.momenta)
-        perms = list(itertools.permutations(range(n)))
-        if len(self.amplitudes) != len(perms) or not all(p in self.amplitudes for p in perms):
-            raise ValueError("amplitudes must cover S_N exactly once")
-        k = np.asarray(self.momenta, dtype=float)
-        self._amps = np.array([self.amplitudes[p] for p in perms], dtype=complex)
-        bad = np.flatnonzero(~np.isfinite(self._amps))
-        if bad.size:
-            p = perms[bad[0]]
-            raise ValueError(f"amplitude of permutation {p} is not finite: {self.amplitudes[p]}")
-        self._kmat = k[np.array(perms, dtype=np.intp).reshape(len(perms), n)]
+        if n > MAX_PARTICLES_ENUMERATED:
+            raise ValueError(f"N = {n} exceeds the particle guard ({MAX_PARTICLES_ENUMERATED})")
+        rows = tuple(tuple(complex(v) for v in row) for row in self.pair_ratios)
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"pair_ratios must be an N x N matrix with N = {n}, got rows of "
+                             f"lengths {[len(row) for row in rows]}")
+        for a, row in enumerate(rows):
+            for b, v in enumerate(row):
+                if not cmath.isfinite(v):
+                    raise ValueError(f"pair ratio g[{a}][{b}] is not finite: {v}")
+                if a <= b and v != 1:
+                    raise ValueError(f"pair ratio g[{a}][{b}] on or above the diagonal must "
+                                     f"be 1, got {v}")
+                if abs(abs(v) - 1.0) > 1e-12:
+                    raise ValueError(f"pair ratio g[{a}][{b}] is not unimodular: |g| = {abs(v)}")
+        self.pair_ratios = rows
+        self._columns = _pair_columns(rows, 1 + 0j, operator.mul)
 
     @property
     def n(self) -> int:
         return len(self.momenta)
 
-    def _terms(self, y: np.ndarray) -> np.ndarray:
-        # the N! plane waves A_P exp(i k_P . y) of the wedge formula at ordered y
-        return self._amps * np.exp(1j * (self._kmat @ y))
+    @functools.cached_property
+    def amplitudes(self) -> dict[tuple[int, ...], complex]:
+        """The N! amplitudes A_P / A_id, keyed as in `gaudin_amplitudes`,
+        built on first use; no check reads them."""
+        return _permutation_products(self.pair_ratios)
+
+    def _sums(self, y, lo, hi) -> tuple[list, list, list, list]:
+        # `_passes` of the wedge sum at ordered y, in complex float
+        phases = [cmath.exp(1j * (km * ys)) for km in self.momenta for ys in y]
+        return _passes(self._columns, phases, lo, hi, 1 + 0j, operator.mul, sum)
 
     def contact_limits(self, x, pair) -> tuple[complex, complex, complex, complex]:
         """Limits on x_j = x_k +- 0+, (j, k) = pair, with x_k read as x_j:
@@ -181,42 +343,60 @@ class BetheWavefunction:
 
         The + side sorts k just before j, into slots r and r + 1; the - side
         is that sector with the two swapped, of opposite sign and the same
-        (d_j - d_k) chi, so one sum of the N! terms gives all four.  It is
-        taken at y - x_j, the contact at the origin: y_r = y_{r+1} = 0 gives
-        the plane waves P and P o (r r+1) bit-identical phases.  Each limit
-        carries the unimodular factor exp(-i K x_j), K = sum_m k_m."""
+        (d_j - d_k) chi, so one wedge sum gives all four: the value
+        sum_m W[r][m] and the slope i sum_m k_m (W[r+1][m] - W[r][m]).  The
+        passes meet at the sets U of the first r + 1 slots: chi is
+        sum_U F(U) B(U), sum_m k_m W[r][m] weights the last momentum placed
+        by F(U) and sum_m k_m W[r+1][m] the next one placed by B(U).  It is
+        taken at y - x_j, the contact at the origin, where the phases of
+        slots r and r + 1 are exactly 1.  Each limit carries the unimodular
+        factor exp(-i K x_j), K = sum_m k_m."""
         j, k = pair
         x = [float(v) for v in x]
         x[k] = x[j]
         order = sorted(range(self.n), key=lambda m: (x[m], m == j))
         r = order.index(k)
-        terms = self._terms(np.array([x[m] - x[j] for m in order], dtype=float))
+        forward, incs, back, products = self._sums([x[m] - x[j] for m in order], r + 1, r + 1)
+        size, layers, km = r + 1, _layers(self.n), self.momenta
+        value = sum(map(operator.mul, forward[size], back[size]))
+        weighted = list(map(operator.mul, layers[r].momentum(km), incs[r]))
+        placed = _groups(layers[r].by_union(weighted), size, sum)
+        following = _groups(map(operator.mul, layers[size].momentum(km), products[size]),
+                            self.n - size, sum)
+        slope = 1j * (sum(map(operator.mul, forward[size], following))
+                      - sum(map(operator.mul, placed, back[size])))
         s = perm_sign(order)
-        value = s * terms.sum()
-        slope = s * (1j * (self._kmat[:, r + 1] - self._kmat[:, r]) * terms).sum()
-        return value, -value, slope, slope
+        return s * value, -s * value, s * slope, s * slope
 
 
 def gaudin_wavefunction(momenta, lam: float) -> BetheWavefunction:
-    """Fermion eigenfunction with Gaudin amplitudes at coupling lam.
+    """Fermion eigenfunction with Gaudin amplitudes at coupling lam, as its
+    pair ratios g[a][b] = -(1 + i lam d) / (1 - i lam d), d = k_b - k_a,
+    for a > b.
 
-    All amplitudes are divided by the identity amplitude; every |A_P| is
-    then exactly 1, which keeps float evaluation well conditioned for large
-    lam.  This changes the wavefunction only by a global constant.  A raw
-    amplitude that is not finite (the product overflows float64, or lam is
-    not finite) raises a ValueError that names lam and N.
+    The state is the Gaudin sum divided by the identity amplitude (a global
+    constant), so every |A_P| is 1 at any lam.  A momentum that is not
+    finite is named by its index; a lam that is not finite, or a pair ratio
+    that overflows float64, raises a ValueError that names lam and N.
     """
-    k = tuple(float(v) for v in momenta)
-    amps = gaudin_amplitudes(k, lam)
-    if not all(cmath.isfinite(a) for a in amps.values()):
-        raise ValueError(f"Gaudin amplitudes are not finite at lam = {lam}, N = {len(k)}: "
-                         "the product of pair factors overflows float64 or lam is not finite")
-    a0 = amps[tuple(range(len(k)))]
-    return BetheWavefunction(momenta=k, amplitudes={p: a / a0 for p, a in amps.items()})
+    k = _gaudin_momenta(momenta)
+    n = len(k)
+    if not math.isfinite(lam):
+        raise ValueError(f"Gaudin pair ratios are not finite at lam = {lam}, N = {n}: "
+                         "lam is not finite")
+    g = [[1 + 0j] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a):
+            u = 1j * lam * (k[b] - k[a])
+            g[a][b] = -(1 + u) / (1 - u)
+            if not cmath.isfinite(g[a][b]):
+                raise ValueError(f"Gaudin pair ratios are not finite at lam = {lam}, N = {n}: "
+                                 "lam * (k_b - k_a) overflows float64")
+    return BetheWavefunction(momenta=k, pair_ratios=g)
 
 
 def _checked_coords(wf: BetheWavefunction, x) -> list[float]:
-    xs = [float(v) for v in x]
+    xs = _require_finite(x, "coordinate")
     if len(xs) != wf.n:
         raise ValueError("coordinate count does not match the wavefunction")
     _require_distinct(xs, "coordinates coincide: the point sits on a sector boundary")
@@ -224,10 +404,10 @@ def _checked_coords(wf: BetheWavefunction, x) -> list[float]:
 
 
 def eval_wavefunction(wf: BetheWavefunction, x) -> complex:
-    """Evaluate wf at pairwise-distinct coordinates x (any sector)."""
+    """Evaluate wf at pairwise-distinct finite coordinates x (any sector)."""
     xs = _checked_coords(wf, x)
     order = sorted(range(wf.n), key=xs.__getitem__)
-    return perm_sign(order) * wf._terms(np.array([xs[m] for m in order], dtype=float)).sum()
+    return perm_sign(order) * wf._sums([xs[m] for m in order], 0, 0)[2][0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -547,29 +727,33 @@ def schrodinger_residual(wf: BetheWavefunction, x) -> float:
     """Relative free-Schroedinger residual of the wavefunction wf at x,
     probed with central second differences of step h = 1e-6.
 
-    One pass over wf's amplitude table at 40 mpmath digits (float64 cannot
-    resolve a 1e-6 second-difference step below ~1e-3 relative error).
-    From the N^2 phases exp(i k_m y_s) at the sorted point y, each term
-    A_P prod_s exp(i k_{P_s} y_s) is formed once and added to W[s][m], the
-    sum of the terms with momentum m in slot s; chi is sum_m W[0][m].  A +-h
-    shift of slot s multiplies those by exp(+-i k_m h), so the central
-    difference is exactly D2_s chi = sum_m W[s][m] (2 cos(k_m h) - 2) / h^2,
-    evaluated as -4 sin^2(k_m h / 2) / h^2.  Returns |sum_s D2_s chi + E chi|
-    / (sum_s |D2_s chi| + |E chi|), ~h^2 k^2 / 12 for a true eigenfunction.
-    Every plane wave of the table has energy E, so any amplitude set passes;
-    the contact conditions (`bc_residual`) are what pin the amplitudes.
+    One run of the recursion over subsets at 40 mpmath digits (float64
+    cannot resolve a 1e-6 second-difference step below ~1e-3 relative
+    error).  From the N^2 phases exp(i k_m y_s) at the sorted point y it
+    gives W[s][m], the sum of the wedge terms with momentum m in slot s; chi
+    is sum_m W[0][m].  A +-h shift of slot s multiplies those by
+    exp(+-i k_m h), so the central difference is exactly D2_s chi =
+    sum_m W[s][m] (2 cos(k_m h) - 2) / h^2, evaluated as
+    -4 sin^2(k_m h / 2) / h^2.  Returns |sum_s D2_s chi + E chi| /
+    (sum_s |D2_s chi| + |E chi|), ~h^2 k^2 / 12 for a true eigenfunction.
+    Every plane wave has energy E, so any pair ratios pass; the contact
+    conditions (`bc_residual`) are what pin them.
 
-    The N! terms are summed in fixed point, as Python integers scaled by
-    2^F with F = prec + 64 (prec the working precision in bits).  The
-    amplitudes are first divided by 2^e, e the binary exponent of their
-    largest component (`math.frexp`), so every component is below 1 at any
-    amplitude scale.  Each complex product truncates by >> F, the phases
-    carry one truncation each, and the sums are exact, so each W[s][m] is
-    off by fewer than 4 (N + 1) N! units of 2^(e - F), under
-    2^(e - prec - 43) at N = 8: less than one rounding of a term-by-term
-    mpmath sum.  W returns to mpmath as integer * 2^(e - F); the residual
-    is homogeneous of degree zero in the amplitudes, and any power-of-two
-    rescaling of them gives the same bits.
+    The recursion runs in fixed point, on Python integers scaled by 2^F
+    with F = prec + 64 (prec the working precision in bits).  Say a computed
+    sum of n products of unimodular factors has bound c when it is off by
+    at most c n units of 2^-F.  The pair ratios and the phases convert with
+    under 2 units each (int truncates each component toward zero), and each
+    complex product truncates by >> F, adding under 2 units, so a product
+    of bounds c1 and c2 has the bound c1 + c2 + 2 and a sum keeps the
+    larger bound; the pair ratios (unimodular to 1e-12) and the phases keep
+    every product within 1e-10 of unit modulus, which moves these bounds by
+    less than a part in 1e9.  Then T(S, m) has the bound 4N - 6, its
+    product with the phase 4N - 2, F(S) 4N |S|, B(S) 4N (N - |S|), and each
+    of the (N - 1)! terms of W[s][m] 4N^2 + 2: W is off by fewer than
+    258 * 7! < 2^21 units at N = 8, below 2^(-prec - 43), less than one
+    rounding of a term-by-term mpmath sum.  W returns to mpmath as
+    integer * 2^-F.
     """
     h = 1e-6
     xs = _checked_coords(wf, x)
@@ -583,35 +767,47 @@ def schrodinger_residual(wf: BetheWavefunction, x) -> float:
     with mp.workdps(40):
         hh = mp.mpf(h)
         k = [mp.mpf(float(v)) for v in wf.momenta]
-        y = sorted(xs)
+        y = [mp.mpf(v) for v in sorted(xs)]
         frac = mp.mp.prec + 64
-        table = [(p, complex(a)) for p, a in wf.amplitudes.items()]
-        scale = math.frexp(max(max(abs(a.real), abs(a.imag)) for _, a in table))[1]
-        phase = [[(int(mp.ldexp(z.real, frac)), int(mp.ldexp(z.imag, frac)))
-                  for z in (mp.exp(mp.mpc(0, km * ys)) for ys in y)] for km in k]
-        w_re = [[0] * n for _ in range(n)]
-        w_im = [[0] * n for _ in range(n)]
-        for p, a in table:
-            re = int(math.ldexp(a.real, frac - scale))
-            im = int(math.ldexp(a.imag, frac - scale))
-            for s, m in enumerate(p):
-                pr, pi = phase[m][s]
-                re, im = (re * pr - im * pi) >> frac, (re * pi + im * pr) >> frac
-            for s, m in enumerate(p):
-                w_re[s][m] += re
-                w_im[s][m] += im
 
-        def to_mpc(re, im):
-            return mp.mpc(mp.mpf((re, scale - frac)), mp.mpf((im, scale - frac)))
+        def fixed(v):
+            # int(mp.ldexp(v, frac)), read off v's (sign, mantissa, exponent)
+            sign, man, exp, _ = v._mpf_
+            man = man << exp + frac if exp + frac >= 0 else man >> -(exp + frac)
+            return -man if sign else man
 
-        chi0 = to_mpc(sum(w_re[0]), sum(w_im[0]))
-        w = [list(map(to_mpc, row_re, row_im)) for row_re, row_im in zip(w_re, w_im)]
-        d2_factor = [-4 * mp.sin(km * hh / 2) ** 2 / (hh * hh) for km in k]
+        phases = [(fixed(z.real), fixed(z.imag))
+                  for km in k for z in (mp.exp(mp.mpc(0, km * ys)) for ys in y)]
+        g = [[(int(math.ldexp(v.real, frac)), int(math.ldexp(v.imag, frac))) for v in row[:a]]
+             for a, row in enumerate(wf.pair_ratios)]
+
+        def mul(u, v):
+            (ur, ui), (vr, vi) = u, v
+            return (ur * vr - ui * vi) >> frac, (ur * vi + ui * vr) >> frac
+
+        def total(terms):
+            return tuple(map(sum, zip(*terms)))
+
+        one = (1 << frac, 0)
+        forward, _, _, products = _passes(_pair_columns(g, one, mul), phases, 0, n - 1,
+                                          one, mul, total)
+        w = []
+        for size, layer in enumerate(_layers(n)):
+            terms = (products[0] if size == 0 else
+                     list(map(mul, layer.below(forward[size]), products[size])))
+            w.append(_groups(layer.by_momentum(terms), math.comb(n - 1, size), total))
+
+        def to_mpc(z):
+            return mp.mpc((z[0], -frac), (z[1], -frac))
+
+        chi0 = to_mpc(total(w[0]))
+        half, h2 = hh / 2, hh * hh
+        d2_factor = [-4 * mp.sin(km * half) ** 2 / h2 for km in k]
         e_tot = mp.fsum(km ** 2 for km in k)
         num = e_tot * chi0
         denom = abs(num)
         for row in w:
-            d2 = mp.fsum(ws * c for ws, c in zip(row, d2_factor))
+            d2 = mp.fsum(to_mpc(ws) * c for ws, c in zip(row, d2_factor))
             num += d2
             denom += abs(d2)
         return float(abs(num) / denom)
@@ -624,8 +820,11 @@ def gaudin_residual_scan(n: int, draws: int, seed: int = 0) -> list[dict]:
     one `gaudin_wavefunction` state, its contact-condition defects on every
     adjacent hyperplane x_j = x_{j+1} (one wedge sum per contact), and
     its finite-difference Schroedinger residual at a random interior point.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  n and draws must be integers.
     """
+    for name, value in (("n", n), ("draws", draws)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {name} = {value!r}")
     if n < 1:
         raise ValueError("need at least one particle")
     if draws < 1:
@@ -641,7 +840,7 @@ def gaudin_residual_scan(n: int, draws: int, seed: int = 0) -> list[dict]:
                 return vals
 
     records = []
-    for draw in range(int(draws)):
+    for draw in range(draws):
         lam = rng.uniform(0.1, 10.0)
         momenta = distinct_draw(n, -3.0, 3.0, 1e-3)
         wf = gaudin_wavefunction(momenta, lam)

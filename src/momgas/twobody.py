@@ -176,7 +176,9 @@ def bc_residual(wavefunction, lam: float, pair: tuple[int, int],
     `pair` holds 0-based coordinate indices (j, k); `base_point` holds one
     coordinate per particle and must lie on the hyperplane x_j = x_k (to
     1e-9 relative; x_k is then read as x_j) with all spectator coordinates
-    distinct from each other and from the contact value.
+    distinct from each other and from the contact value.  A coordinate or
+    lam that is not finite is named (every tolerance comparison is False
+    for nan).
 
     Returns the defect of both matching conditions:
     (d_j - d_k) chi continuity, and the value jump minus
@@ -187,6 +189,11 @@ def bc_residual(wavefunction, lam: float, pair: tuple[int, int],
     j, k = pair
     x = [float(v) for v in base_point]
     n = len(x)
+    if not all(map(math.isfinite, x)):
+        m = next(m for m, v in enumerate(x) if not math.isfinite(v))
+        raise ValueError(f"base_point coordinate {m} is not finite: {x[m]}")
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got lam = {lam!r}")
     if n != wavefunction.n:
         raise ValueError(f"base_point has {n} coordinates, but the wavefunction has "
                          f"{wavefunction.n} particles")

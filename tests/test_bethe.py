@@ -22,7 +22,7 @@ from momgas.bethe import (
     parity_rule_eta, schrodinger_residual, solve_bethe, solve_lieb_liniger,
 )
 from momgas.twobody import bc_residual
-from momgas.yang_baxter import GaussianRational, sign_projection, yang_op
+from momgas.yang_baxter import GaussianRational, perm_sign, sign_projection, yang_op
 from test_twobody import _mutant
 
 
@@ -159,25 +159,67 @@ def test_eval_validates_input():
         eval_wavefunction(wf, [0.5])
 
 
+def test_eval_names_a_non_finite_coordinate():
+    wf = gaudin_wavefunction([-1.0, 0.2, 1.0], 1.0)
+    with pytest.raises(ValueError, match="coordinate 0 is not finite: nan"):
+        eval_wavefunction(wf, [math.nan, 0.5, 0.9])
+
+
+def test_schrodinger_residual_names_a_non_finite_coordinate():
+    wf = gaudin_wavefunction([-1.0, 0.2, 1.0], 1.0)
+    with pytest.raises(ValueError, match="coordinate 1 is not finite: inf"):
+        schrodinger_residual(wf, [0.1, math.inf, 0.9])
+
+
+@pytest.mark.parametrize("build", [gaudin_wavefunction, gaudin_amplitudes])
+def test_gaudin_states_name_a_non_finite_momentum(build):
+    # a nan momentum makes nan pair factors, which is not lam's fault
+    with pytest.raises(ValueError, match="momentum 0 is not finite: nan"):
+        build([math.nan, 1.0], 0.5)
+
+
 def test_wavefunction_requires_full_amplitude_cover():
-    with pytest.raises(ValueError):
-        BetheWavefunction(momenta=(0.0, 1.0), amplitudes={(0, 1): 1.0 + 0j})
+    # the pair ratios cover every ordered pair: an N x N matrix
+    with pytest.raises(ValueError, match=r"N x N matrix with N = 2, got rows of lengths \[2\]"):
+        BetheWavefunction(momenta=(0.0, 1.0), pair_ratios=[[1, 1]])
+    with pytest.raises(ValueError, match=r"N = 3, got rows of lengths \[3, 2, 3\]"):
+        BetheWavefunction(momenta=(0.0, 1.0, 2.5), pair_ratios=[[1, 1, 1], [-1, 1], [-1, -1, 1]])
+
+
+def test_wavefunction_pins_the_pair_matrix_on_and_above_the_diagonal():
+    # g[a][b] for a <= b is 1 by definition; the recursion never reads it
+    with pytest.raises(ValueError, match=r"g\[0\]\[1\] on or above the diagonal must be 1"):
+        BetheWavefunction(momenta=(0.0, 1.0), pair_ratios=[[1, -1], [-1, 1]])
+    with pytest.raises(ValueError, match=r"g\[1\]\[0\] is not unimodular"):
+        BetheWavefunction(momenta=(0.0, 1.0), pair_ratios=[[1, 1], [2, 1]])
 
 
 @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(1.0, math.inf)])
 def test_wavefunction_names_a_non_finite_amplitude(bad):
-    amps = {(0, 1, 2): 1.0 + 0j, (0, 2, 1): -1.0 + 0j, (1, 0, 2): -1.0 + 0j,
-            (1, 2, 0): bad, (2, 0, 1): 1.0 + 0j, (2, 1, 0): -1.0 + 0j}
-    with pytest.raises(ValueError, match=r"permutation \(1, 2, 0\) is not finite"):
-        BetheWavefunction(momenta=(0.0, 1.0, 2.5), amplitudes=amps)
+    g = [[1, 1, 1], [-1, 1, 1], [bad, -1, 1]]
+    with pytest.raises(ValueError, match=r"pair ratio g\[2\]\[0\] is not finite"):
+        BetheWavefunction(momenta=(0.0, 1.0, 2.5), pair_ratios=g)
 
 
-@pytest.mark.parametrize("lam, text", [(1e200, "lam = 1e+200, N = 3"), (math.nan, "lam = nan, N = 3")])
+@pytest.mark.parametrize("lam, text", [(1e308, "lam = 1e+308, N = 3: lam * (k_b - k_a) overflows"),
+                                       (math.nan, "lam = nan, N = 3"),
+                                       (math.inf, "lam = inf, N = 3")])
 def test_gaudin_wavefunction_names_lam_when_amplitudes_overflow(lam, text):
-    # the raw product overflows to inf, and inf / inf would leave only nan
-    # amplitudes for bc_residual and the probe
+    # a lam that is not finite, or lam * (k_b - k_a) beyond float64, would
+    # leave nan pair ratios for bc_residual and the probe
     with pytest.raises(ValueError, match=re.escape(text)):
         gaudin_wavefunction([0.0, 1.0, 2.5], lam)
+
+
+def test_gaudin_wavefunction_is_finite_at_lam_1e200():
+    # the raw products overflow float64 at lam = 1e200, the pair ratios do
+    # not: g[a][b] -> 1 below the diagonal, the hard-core limit A_P = 1
+    k, x = [0.0, 1.0, 2.5], [0.3, 1.1, 2.9]
+    assert not all(cmath.isfinite(a) for a in gaudin_amplitudes(k, 1e200).values())
+    wf = gaudin_wavefunction(k, 1e200)
+    hard_core = BetheWavefunction(momenta=k, pair_ratios=[[1] * 3] * 3)
+    assert all(abs(v - 1.0) <= 1e-199 for row in wf.pair_ratios for v in row)
+    assert eval_wavefunction(wf, x) == pytest.approx(eval_wavefunction(hard_core, x), rel=1e-15)
 
 
 @pytest.mark.parametrize("wf", [gaudin_wavefunction([-1.3, 0.2, 1.9], 0.8), _mutant()],
@@ -253,11 +295,25 @@ def test_residual_scan_needs_a_draw(draws):
         gaudin_residual_scan(3, draws)
 
 
+@pytest.mark.parametrize("n, draws, text", [(3, 1.5, "draws = 1.5"), (2.5, 1, "n = 2.5")])
+def test_residual_scan_names_a_count_that_is_not_an_integer(n, draws, text):
+    with pytest.raises(ValueError, match=re.escape(text)):
+        gaudin_residual_scan(n, draws)
+
+
 def _mp_wedge_values(wf, points):
     # reference: the wedge sum sum_P A_P exp(i sum_j k_Pj y_j) of wf at each
-    # ordered point y, term by term in the current mpmath precision
-    table = [(mp.mpc(complex(a)), [mp.mpf(float(v)) for v in row])
-             for a, row in zip(wf._amps, wf._kmat)]
+    # ordered point y, term by term in the current mpmath precision, with
+    # A_P = prod_{l<j} g[P_l][P_j] formed from the pair ratios at that precision
+    g = [[mp.mpc(v) for v in row] for row in wf.pair_ratios]
+    k = [mp.mpf(v) for v in wf.momenta]
+    table = []
+    for p in itertools.permutations(range(wf.n)):
+        a = mp.mpc(1)
+        for l in range(wf.n):
+            for j in range(l + 1, wf.n):
+                a *= g[p[l]][p[j]]
+        table.append((a, [k[m] for m in p]))
     values = []
     for y in points:
         total = mp.mpc(0)
@@ -328,14 +384,133 @@ def test_probe_matches_the_pointwise_formula_at_60_digits(wf, x):
     assert schrodinger_residual(wf, x) == reference
 
 
-@pytest.mark.parametrize("e", [-300, -60, 60, 300])
-def test_probe_is_bit_identical_under_power_of_two_amplitude_scales(e):
-    # the residual is homogeneous of degree zero in the amplitudes, and the
-    # fixed-point sum is scaled to the table's largest component
-    wf = gaudin_wavefunction([-1.3, 0.2, 1.9, -2.4, 0.9], 3.7)
-    scaled = BetheWavefunction(wf.momenta, {p: a * 2.0 ** e for p, a in wf.amplitudes.items()})
-    x = [0.4, 1.3, 2.1, 3.0, 4.2]
-    assert schrodinger_residual(scaled, x) == schrodinger_residual(wf, x)
+# ---------------------------------------------------------------------------
+# N! references for the recursion over subsets: the wedge sum over the
+# amplitude table, and the probe over the table in fixed point
+
+
+def _terms(wf, y):
+    # the N! plane waves A_P exp(i k_P . y) of the wedge formula at ordered
+    # y, and the momenta of each slot, one row per permutation
+    perms = list(itertools.permutations(range(wf.n)))
+    amps = np.array([wf.amplitudes[p] for p in perms])
+    kmat = np.asarray(wf.momenta)[np.array(perms)]
+    return amps * np.exp(1j * (kmat @ y)), kmat
+
+
+def _table_contact_limits(wf, x, pair):
+    # value and slope of `BetheWavefunction.contact_limits` from one N! sum
+    j, k = pair
+    x = list(x)
+    x[k] = x[j]
+    order = sorted(range(wf.n), key=lambda m: (x[m], m == j))
+    r = order.index(k)
+    terms, kmat = _terms(wf, np.array([x[m] - x[j] for m in order]))
+    s = perm_sign(order)
+    return s * terms.sum(), s * (1j * (kmat[:, r + 1] - kmat[:, r]) * terms).sum()
+
+
+def _table_probe(wf, x):
+    # `schrodinger_residual` as one pass over the N! amplitude table: each
+    # term's N slot phases multiplied in fixed point and added to W[s][m]
+    h, n = 1e-6, wf.n
+    with mp.workdps(40):
+        hh = mp.mpf(h)
+        k = [mp.mpf(float(v)) for v in wf.momenta]
+        y = sorted(x)
+        frac = mp.mp.prec + 64
+        phase = [[(int(mp.ldexp(z.real, frac)), int(mp.ldexp(z.imag, frac)))
+                  for z in (mp.exp(mp.mpc(0, km * ys)) for ys in y)] for km in k]
+        w_re = [[0] * n for _ in range(n)]
+        w_im = [[0] * n for _ in range(n)]
+        for p, a in wf.amplitudes.items():
+            re, im = int(math.ldexp(a.real, frac)), int(math.ldexp(a.imag, frac))
+            for s, m in enumerate(p):
+                pr, pi = phase[m][s]
+                re, im = (re * pr - im * pi) >> frac, (re * pi + im * pr) >> frac
+            for s, m in enumerate(p):
+                w_re[s][m] += re
+                w_im[s][m] += im
+
+        def to_mpc(re, im):
+            return mp.mpc(mp.mpf((re, -frac)), mp.mpf((im, -frac)))
+
+        chi0 = to_mpc(sum(w_re[0]), sum(w_im[0]))
+        d2_factor = [-4 * mp.sin(km * hh / 2) ** 2 / (hh * hh) for km in k]
+        num = mp.fsum(km ** 2 for km in k) * chi0
+        denom = abs(num)
+        for row_re, row_im in zip(w_re, w_im):
+            d2 = mp.fsum(to_mpc(re, im) * c for re, im, c in zip(row_re, row_im, d2_factor))
+            num += d2
+            denom += abs(d2)
+        return float(abs(num) / denom)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_PARTICLES_ENUMERATED + 1))
+def test_recursion_matches_the_n_factorial_references(n):
+    # values, contact slopes and the probe against the N! sums above.  The
+    # N! terms are unimodular; in either float sum each passes through at
+    # most N^2 roundings of relative size 2 eps (pair products, phases,
+    # the recursion's levels of sums), and the reference's phase argument
+    # sum_j k_Pj y_j carries up to N^2 eps max|k| max|y|, so the sums differ
+    # by at most N^2 (4 + 2 max|k| max|y|) eps N!, times 2 max|k| for the
+    # slope (k_{P_{r+1}} - k_{P_r}); measured below 3 eps N!.  The probe's
+    # table and recursion form the amplitudes by different roundings of
+    # the same pair ratios, which the cancellation in its numerator
+    # magnified to at most 6e-15 relative over 20 draws per N = 1..6
+    rng = random.Random(300 + n)
+    eps = np.finfo(float).eps
+    for _ in range(3 if n <= 6 else 1):
+        k = [rng.uniform(-3.0, 3.0) for _ in range(n)]
+        wf = gaudin_wavefunction(k, rng.uniform(0.1, 10.0))
+        x = [0.4 + 0.7 * s + rng.uniform(0.0, 0.3) for s in range(n)]
+        rng.shuffle(x)
+        bound = n * n * (4 + 2 * 3.0 * max(x)) * eps * math.factorial(n)
+        order = sorted(range(n), key=x.__getitem__)
+        terms, _ = _terms(wf, np.array(sorted(x)))
+        assert abs(eval_wavefunction(wf, x) - perm_sign(order) * terms.sum()) <= bound
+        for r in range(n - 1):
+            pair = (order[r + 1], order[r])
+            vp, _, slope, _ = wf.contact_limits(x, pair)
+            value, ref_slope = _table_contact_limits(wf, x, pair)
+            assert abs(vp - value) <= bound
+            assert abs(slope - ref_slope) <= bound * 2 * max(map(abs, k))
+        probe, ref = schrodinger_residual(wf, x), _table_probe(wf, x)
+        assert abs(probe - ref) <= 1e-12 * ref
+
+
+def test_pair_ratios_match_the_raw_amplitudes_over_the_identity():
+    # A_P / A_id = prod_{l<j} g[P_l][P_j] exactly; in float, with u = eps/2,
+    # theta = lam (k_b - k_a) carries 2u and so does each raw pair factor
+    # 1 + i theta (normwise, |theta| / |1 + i theta| <= 1), as does
+    # g = -(1 + i theta) / (1 - i theta) (|dg/dtheta| theta <= 1), each of
+    # the M = N(N - 1)/2 complex products at most sqrt(5) u (Brent,
+    # Percival and Zimmermann, Math. Comp. 76, 1469 (2007)) and each complex
+    # division at most 4u.  So raw_P and raw_id are within M (2 + sqrt(5)) u
+    # each, their quotient within 2 M (2 + sqrt(5)) u + 4u, the product of
+    # pair ratios within M (6 + sqrt(5)) u, and the two differ by less than
+    # (17 M + 4) u on unimodular values
+    rng = random.Random(17)
+    for n in range(1, MAX_PARTICLES_ENUMERATED + 1):
+        for _ in range(4 if n <= 6 else 1):
+            k = [rng.uniform(-3.0, 3.0) for _ in range(n)]
+            lam = rng.uniform(0.1, 10.0)
+            raw = gaudin_amplitudes(k, lam)
+            a_id = raw[tuple(range(n))]
+            bound = (17 * n * (n - 1) / 2 + 4) * np.finfo(float).eps / 2
+            amps = gaudin_wavefunction(k, lam).amplitudes
+            assert max(abs(amps[p] - a / a_id) for p, a in raw.items()) <= bound
+
+
+def test_checks_leave_the_amplitude_table_unbuilt():
+    # the contact check and the probe run the recursion; the N! table is a
+    # view built on first use
+    wf = gaudin_wavefunction([-1.3, 0.2, 1.9, -2.4], 0.8)
+    bc_residual(wf, 0.8, (1, 2), [0.3, 1.7, 1.7, 3.2])
+    eval_wavefunction(wf, [0.3, 1.1, 1.7, 3.2])
+    schrodinger_residual(wf, [0.3, 1.1, 1.7, 3.2])
+    assert "amplitudes" not in vars(wf)
+    assert len(wf.amplitudes) == 24 and "amplitudes" in vars(wf)
 
 
 def test_probe_forms_the_terms_without_mpmath_products(monkeypatch):

@@ -166,13 +166,15 @@ def test_bound_state_requires_attractive_lambda():
 # bc_residual plumbing (the N-body entry point)
 
 
-def _mutant(momenta=(-1.3, 0.2, 1.9), lam=0.8, flipped=(1, 0, 2)):
-    # the Gaudin state with one amplitude negated: a plane-wave sum that
-    # solves the free equation in every wedge but not the contact conditions
+def _mutant(momenta=(-1.3, 0.2, 1.9), lam=0.8, entry=(1, 0)):
+    # the Gaudin state with one pair ratio g[a][b] (a > b) negated: a
+    # plane-wave sum that solves the free equation in every wedge but not
+    # the contact conditions
     wf = gaudin_wavefunction(momenta, lam)
-    amps = dict(wf.amplitudes)
-    amps[flipped] = -amps[flipped]
-    return BetheWavefunction(momenta=wf.momenta, amplitudes=amps)
+    g = [list(row) for row in wf.pair_ratios]
+    a, b = entry
+    g[a][b] = -g[a][b]
+    return BetheWavefunction(momenta=wf.momenta, pair_ratios=g)
 
 
 def test_generic_plane_wave_has_nonzero_value_defect():
@@ -185,7 +187,7 @@ def test_generic_plane_wave_has_nonzero_value_defect():
 
 
 @pytest.mark.parametrize("wf", [gaudin_wavefunction((-1.3, 0.2, 1.9, -2.4), 2.5),
-                                _mutant((-1.3, 0.2, 1.9, -2.4), 2.5, (1, 0, 2, 3))],
+                                _mutant((-1.3, 0.2, 1.9, -2.4), 2.5, (3, 1))],
                          ids=["gaudin", "mutant"])
 def test_derivative_jump_is_exactly_zero_for_any_table(wf):
     # the two sides of x_j = x_k are one sector with j and k swapped, so
@@ -224,8 +226,19 @@ def test_bc_residual_rejects_a_point_of_the_wrong_length(point):
         bc_residual(_mutant(), 0.8, (0, 1), point)
 
 
+@pytest.mark.parametrize("lam, point, text", [
+    (0.8, [math.nan, math.nan, 0.9], "coordinate 0 is not finite: nan"),
+    (0.8, [0.7, 0.7, math.inf], "coordinate 2 is not finite: inf"),
+    (math.nan, [0.7, 0.7, 2.4], "lam = nan"),
+])
+def test_bc_residual_names_a_non_finite_input(lam, point, text):
+    # a nan defect would pass every tolerance comparison made on it
+    with pytest.raises(ValueError, match=text):
+        bc_residual(_mutant(), lam, (0, 1), point)
+
+
 def test_bc_residual_rejects_coinciding_spectators():
-    wf = _mutant((-1.3, 0.2, 1.9, 2.6), 0.8, (1, 0, 2, 3))
+    wf = _mutant((-1.3, 0.2, 1.9, 2.6), 0.8, (3, 1))
     with pytest.raises(ValueError):
         bc_residual(wf, 1.0, (0, 1), [0.5, 0.5, 2.0, 2.0])
     with pytest.raises(ValueError):
