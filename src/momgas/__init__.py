@@ -51,8 +51,7 @@ _EXPORTS = {
     ),
     "yang_baxter": (
         "GaussianRational", "GroupAlgebraElement",
-        "check_unitarity", "delta_control_defect", "delta_variant",
-        "regular_rep", "yang_op", "yb_defect",
+        "check_unitarity", "delta_control_defect", "regular_rep", "yang_op", "yb_defect",
     ),
     "nonrel": (
         "BogoliubovPair", "bogoliubov", "coleman_check", "coleman_full_product",

@@ -103,7 +103,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ConvergenceError
-from .twobody import bc_residual
+from .twobody import _require_finite, bc_residual
 from .yang_baxter import perm_sign
 
 __all__ = [
@@ -145,14 +145,6 @@ def parity_rule_eta(n: int) -> float:
 def _require_distinct(values, message: str) -> None:
     if len(set(values)) != len(values):
         raise ValueError(message)
-
-
-def _require_finite(values, name: str) -> list[float]:
-    out = [float(v) for v in values]
-    if not all(map(math.isfinite, out)):
-        i = next(i for i, v in enumerate(out) if not math.isfinite(v))
-        raise ValueError(f"{name} {i} is not finite: {out[i]}")
-    return out
 
 
 def _gaudin_momenta(momenta) -> tuple[float, ...]:
@@ -273,14 +265,12 @@ def _passes(cols, phases, lo, hi, one, mul, total) -> tuple[list, list, list, li
     factors = [list(map(mul, p.col(cols), p.phase(phases))) for p in layers]
     back, products = [None] * n + [[one]], [None] * n
     for size in range(n - 1, lo - 1, -1):
-        terms = products[size] = (factors[size] if size == n - 1 else
-                                  list(map(mul, factors[size], layers[size].above(back[size + 1]))))
+        terms = products[size] = list(map(mul, factors[size], layers[size].above(back[size + 1])))
         back[size] = _groups(terms, n - size, total)
     forward, incs = [[one]] + [None] * n, [None] * n
     for size in range(hi):
         p = layers[size]
-        terms = incs[size] = (factors[size] if size == 0 else
-                              list(map(mul, p.below(forward[size]), factors[size])))
+        terms = incs[size] = list(map(mul, p.below(forward[size]), factors[size]))
         forward[size + 1] = _groups(p.by_union(terms), size + 1, total)
     return forward, incs, back, products
 
@@ -566,6 +556,8 @@ def _solve_ring(n: int, L: float, eta: float, delta: float, quantum_numbers,
                 model: str, coupling: float) -> BetheState:
     # shared by both models: validate, solve k_j L = 2 pi I_j + delta -
     # sum_l theta(k_j - k_l), and package the ordered roots
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got n = {n!r}")
     if n < 1:
         raise ValueError(f"need at least one particle, got N = {n}")
     if not math.isfinite(L):
@@ -599,7 +591,7 @@ def solve_bethe(n: int, L: float, lam: float, quantum_numbers=None,
             "string roots and is not supported by this solver"
         )
     eta = parity_rule_eta(n) if eta is None else _validate_eta(eta)
-    delta = eta - (math.pi if n % 2 else 0.0)
+    delta = eta - parity_rule_eta(n)
     theta = lambda u: 2.0 * np.arctan(lam * u)
     theta_prime = lambda u: 2.0 * lam / (1.0 + (lam * u) ** 2)
     return _solve_ring(n, L, eta, delta, quantum_numbers, theta, theta_prime,
@@ -673,14 +665,17 @@ def duality_check(n: int, L: float, lam: float, eta: float | None = None) -> dic
     opposite phase shows the macroscopic mismatch."""
     eta_used = parity_rule_eta(n) if eta is None else _validate_eta(eta)
     fermion = solve_bethe(n, L, lam, eta=eta_used)
+    c_dual = 1.0 / lam
+    if not math.isfinite(c_dual):
+        raise ValueError(f"lam = {lam!r} has no dual delta gas: c = 1/lam overflows float64")
     qn = fermion.quantum_numbers
-    boson = solve_lieb_liniger(n, L, 1.0 / lam, quantum_numbers=qn)
+    boson = solve_lieb_liniger(n, L, c_dual, quantum_numbers=qn)
     diff = np.abs(np.asarray(fermion.momenta) - np.asarray(boson.momenta))
     return {
         "n": n,
         "box_length": float(L),
         "lam": float(lam),
-        "c_dual": 1.0 / lam,
+        "c_dual": c_dual,
         "eta": eta_used,
         "eta_follows_parity_rule": eta_used == parity_rule_eta(n),
         "quantum_numbers": [float(v) for v in qn],
@@ -692,11 +687,15 @@ def duality_check(n: int, L: float, lam: float, eta: float | None = None) -> dic
 
 def ground_state_scan(rho: float, lam: float, sizes) -> list[dict]:
     """Ground-state energy density e = E/L at fixed density rho = N/L for a
-    list of increasing particle numbers.
+    list of increasing integer particle numbers.
 
     Successive increments |e(N_next) - e(N)| shrinking is the finite-size
     (Cauchy) behaviour behind the thermodynamic-limit claim.
     """
+    sizes = list(sizes)
+    bad = [s for s in sizes if not isinstance(s, numbers.Integral)]
+    if bad:
+        raise ValueError(f"sizes must be integers, got {bad}")
     sizes = [int(s) for s in sizes]
     if not sizes:
         raise ValueError("need at least one system size, got sizes = []")
@@ -793,8 +792,7 @@ def schrodinger_residual(wf: BetheWavefunction, x) -> float:
                                           one, mul, total)
         w = []
         for size, layer in enumerate(_layers(n)):
-            terms = (products[0] if size == 0 else
-                     list(map(mul, layer.below(forward[size]), products[size])))
+            terms = list(map(mul, layer.below(forward[size]), products[size]))
             w.append(_groups(layer.by_momentum(terms), math.comb(n - 1, size), total))
 
         def to_mpc(z):

@@ -51,8 +51,8 @@ from .twobody import (
     scattering_state, two_body_residual,
 )
 from .yang_baxter import (
-    check_delta_unitarity, check_unitarity, delta_control_defect,
-    delta_variant, sign_projection, trivial_projection, yb_defect,
+    DELTA_SIGNS, check_delta_unitarity, check_unitarity, delta_control_defect,
+    sign_projection, trivial_projection, yb_defect,
 )
 
 __all__ = ["COMMANDS", "main"]
@@ -279,7 +279,7 @@ def _cmd_yb_check(args):
     triv = trivial_projection(defect.matrix)
     sign = sign_projection(defect.matrix)
     generic = args.u != 0 and args.v != 0 and args.u + args.v != 0
-    witness = defect.witness()
+    witness = defect.matrix.first_nonzero()
     results = {
         "unitarity": unitary,
         "yb_defect_nonzero": not defect.is_zero,
@@ -299,7 +299,7 @@ def _cmd_yb_check(args):
 
 def _cmd_delta_control(args):
     i = args.i
-    s_u, s_c = delta_variant()
+    s_u, s_c = DELTA_SIGNS
     unitary = all(check_delta_unitarity(site, arg, args.c, args.n)
                   for site in (i, i + 1) for arg in (args.u, args.v))
     defect = delta_control_defect(i, args.u, args.v, args.c, args.n)

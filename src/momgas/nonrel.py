@@ -39,8 +39,14 @@ __all__ = [
 
 
 def _check_mass_speed(m: float, c: float) -> None:
-    if m <= 0 or c <= 0:
+    if not (0 < m < math.inf and 0 < c < math.inf):
         raise ValueError("mass and speed of light must be positive")
+
+
+def _check_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {name} = {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,7 @@ class BogoliubovPair:
 
 def dispersion(k: float, m: float, c: float) -> float:
     """E_k = sqrt((mc^2)^2 + (kc)^2)."""
+    _check_finite(k=k)
     _check_mass_speed(m, c)
     return math.hypot(m * c * c, k * c)
 
@@ -86,24 +93,27 @@ def loglog_slope(x, y) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
+def _mc_sweep(mc_values, row, fitted: str) -> tuple[list[dict], float]:
+    # one row {"mc": mc, **row(mc)} per mc, swept through c at m = 1 (the
+    # limit the expansion is taken in), and the log-log slope of the rows'
+    # `fitted` field against mc
+    mc_values = [float(v) for v in mc_values]
+    if not all(0 < v < math.inf for v in mc_values):
+        raise ValueError("mc values must be positive")
+    rows = [{"mc": mc, **row(mc)} for mc in mc_values]
+    return rows, loglog_slope(mc_values, [r[fitted] for r in rows])
+
+
 def dispersion_scan(k: float, mc_values) -> dict:
     """Expansion-order check of the dispersion: remainder vs mc at fixed k.
 
-    mc is swept through c at m = 1 (the limit the expansion is taken in);
-    the remainder then scales as (mc)^-2 and the fitted log-log slope must
-    sit at -2.
+    The remainder scales as (mc)^-2 and the fitted log-log slope must sit
+    at -2.
     """
-    mc_values = [float(v) for v in mc_values]
-    if any(v <= 0 for v in mc_values):
-        raise ValueError("mc values must be positive")
-    rows = []
-    for mc in mc_values:
-        rows.append({
-            "mc": mc,
-            "energy": dispersion(k, 1.0, mc),
-            "remainder": dispersion_remainder(k, 1.0, mc),
-        })
-    slope = loglog_slope(mc_values, [r["remainder"] for r in rows])
+    rows, slope = _mc_sweep(mc_values, lambda mc: {
+        "energy": dispersion(k, 1.0, mc),
+        "remainder": dispersion_remainder(k, 1.0, mc),
+    }, "remainder")
     return {"k": float(k), "rows": rows, "slope": slope}
 
 
@@ -156,20 +166,13 @@ def vertex_expansion_scan(ks, mc_values) -> dict:
     if (k1 - k3) * (k2 - k4) == 0.0:
         raise ValueError("degenerate momentum tuple: leading term vanishes, "
                          "relative error undefined")
-    mc_values = [float(v) for v in mc_values]
-    if any(v <= 0 for v in mc_values):
-        raise ValueError("mc values must be positive")
-    rows = []
-    for mc in mc_values:
+
+    def row(mc):
         v = vertex_exact(k1, k2, k3, k4, 1.0, mc)
         lead = vertex_leading(k1, k2, k3, k4, 1.0, mc)
-        rows.append({
-            "mc": mc,
-            "v_exact": v,
-            "v_leading": lead,
-            "rel_error": abs(v - lead) / abs(lead),
-        })
-    slope = loglog_slope(mc_values, [r["rel_error"] for r in rows])
+        return {"v_exact": v, "v_leading": lead, "rel_error": abs(v - lead) / abs(lead)}
+
+    rows, slope = _mc_sweep(mc_values, row, "rel_error")
     return {"ks": ks, "rows": rows, "slope": slope}
 
 
@@ -179,6 +182,7 @@ def sine_gordon_taylor_coeff(n: int, m: float, c: float, beta: float) -> float:
     if not isinstance(n, int) or n < 2:
         raise ValueError("the expansion starts at the quartic term: n >= 2")
     _check_mass_speed(m, c)
+    _check_finite(beta=beta)
     return (-1.0) ** (n - 1) * (m * c) ** 2 * beta ** (2 * n - 2) / math.factorial(2 * n)
 
 
@@ -196,8 +200,10 @@ def coupling_maps(*, g: float, beta: float, m: float, c: float,
     route once g_B carries its (mc)^2 prefactor.
     """
     _check_mass_speed(m, c)
+    _check_finite(g=g, beta=beta)
     if g_b is None:
         g_b = sine_gordon_taylor_coeff(2, m, c, beta)
+    _check_finite(g_b=g_b)
     return {
         "lambda_from_thirring": -g / c ** 2,
         "cB_from_sg": -(beta * c / 4.0) ** 2,
@@ -207,10 +213,10 @@ def coupling_maps(*, g: float, beta: float, m: float, c: float,
 
 def _lam_times_cb(g: float, c: float, denominator: float) -> float:
     # lam * c_B at beta^2 = 4 pi^2/denominator, once g and c are checked
-    if g <= 0:
+    if not 0 < g < math.inf:
         raise ValueError("the duality argument applies to g > 0 "
                          "(attractive contact coupling lam < 0)")
-    if c <= 0:
+    if not 0 < c < math.inf:
         raise ValueError("speed of light must be positive")
     lam = -g / c ** 2
     beta_sq = 4.0 * math.pi ** 2 / denominator

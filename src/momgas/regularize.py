@@ -40,11 +40,13 @@ __all__ = [
 
 
 def _validate(lam: float, e_abs: float, epsilon: float) -> None:
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got lam = {lam!r}")
     if lam == 0:
         raise ValueError("lam must be nonzero")
-    if e_abs <= 0:
+    if not 0 < e_abs < math.inf:
         raise ValueError("|E| must be positive")
-    if epsilon <= 0:
+    if not 0 < epsilon < math.inf:
         raise ValueError(
             "epsilon must be positive: at epsilon = 0 the integral is linearly "
             "divergent, which is the point of the regulator"
@@ -66,9 +68,9 @@ def constant_piece_cesaro(lam: float, epsilon: float, cutoff: float) -> float:
     L -> inf limit pointwise; averaging over L gives
     (4 lam/pi) (1 - cos(eps L)) / (eps^2 L), which vanishes like 1/L.
     """
-    if epsilon <= 0:
+    if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive")
-    if cutoff <= 0:
+    if not 0 < cutoff < math.inf:
         raise ValueError("cutoff must be positive")
     return 4.0 * lam / math.pi * (1.0 - math.cos(epsilon * cutoff)) / (epsilon ** 2 * cutoff)
 
@@ -194,7 +196,7 @@ def richardson(values, step_ratio: float = 2.0) -> float:
     vals = [float(v) for v in values]
     if len(vals) < 2:
         raise ValueError("need at least two values to extrapolate")
-    if step_ratio <= 1:
+    if not 1 < step_ratio < math.inf:
         raise ValueError("step ratio must exceed 1")
     table = list(vals)
     n = len(table)
@@ -212,7 +214,7 @@ def node_ratio(epsilons) -> float:
     eps = [float(e) for e in epsilons]
     if len(eps) < 2:
         raise ValueError("need at least two epsilon nodes")
-    if any(e <= 0 for e in eps):
+    if not all(0 < e < math.inf for e in eps):
         raise ValueError("epsilon nodes must be positive")
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon nodes must be strictly decreasing")

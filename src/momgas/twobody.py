@@ -90,6 +90,14 @@ class BoundaryResidual:
     value_jump_defect: complex
 
 
+def _require_finite(values, name: str) -> list[float]:
+    out = [float(v) for v in values]
+    if not all(map(math.isfinite, out)):
+        i = next(i for i, v in enumerate(out) if not math.isfinite(v))
+        raise ValueError(f"{name} {i} is not finite: {out[i]}")
+    return out
+
+
 def _sgn(x: float) -> int:
     return (x > 0) - (x < 0)
 
@@ -97,6 +105,8 @@ def _sgn(x: float) -> int:
 def scattering_state(parity: Parity, k: float) -> TwoBodyState:
     """Scattering state of given parity at real relative momentum k."""
     k = float(k)
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got k = {k!r}")
     return TwoBodyState(parity=parity, k=complex(k), energy=k * k)
 
 
@@ -105,6 +115,8 @@ def bound_state(lam: float) -> TwoBodyState | None:
 
     Exists iff lam < 0, at k = i/(2*lam) with E = -1/(4*lam^2).
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got lam = {lam!r}")
     if lam == 0:
         raise ValueError("lam = 0 is the free model; no bound state is defined")
     if lam > 0:
@@ -115,6 +127,10 @@ def bound_state(lam: float) -> TwoBodyState | None:
 def _branch(state: TwoBodyState, lam: float, x: float, sgn: int) -> tuple[complex, complex]:
     # value and derivative at x with the sgn(x) branch fixed to `sgn`; at
     # x = 0, sgn = +-1 gives the one-sided limits x -> +-0+ analytically
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got lam = {lam!r}")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got x = {x!r}")
     if state.parity is Parity.EVEN:
         return cmath.cos(state.k * x), -state.k * cmath.sin(state.k * x)
     if state.bound:
@@ -187,11 +203,8 @@ def bc_residual(wavefunction, lam: float, pair: tuple[int, int],
     is exactly 0.0; the second pins the amplitudes.
     """
     j, k = pair
-    x = [float(v) for v in base_point]
+    x = _require_finite(base_point, "base_point coordinate")
     n = len(x)
-    if not all(map(math.isfinite, x)):
-        m = next(m for m, v in enumerate(x) if not math.isfinite(v))
-        raise ValueError(f"base_point coordinate {m} is not finite: {x[m]}")
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got lam = {lam!r}")
     if n != wavefunction.n:

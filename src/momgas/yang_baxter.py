@@ -45,7 +45,7 @@ __all__ = [
     "GaussianRational", "GroupAlgebraElement", "DefectResult",
     "compose", "perm_sign", "regular_rep",
     "yang_op", "check_unitarity", "yb_defect",
-    "delta_yang_op", "delta_variant", "delta_control_defect",
+    "DELTA_SIGNS", "delta_yang_op", "delta_control_defect",
     "check_delta_unitarity",
     "trivial_projection", "sign_projection",
 ]
@@ -342,10 +342,6 @@ class DefectResult:
     def is_zero(self) -> bool:
         return self.matrix.is_zero
 
-    def witness(self):
-        """First nonzero entry row-major: (row, col, entry), or None."""
-        return self.matrix.first_nonzero()
-
 
 def _triple_defect(y, i: int, u, v, n: int, name: str) -> GroupAlgebraElement:
     # Y_i(v) Y_{i+1}(u+v) Y_i(u) - Y_{i+1}(u) Y_i(v+u) Y_{i+1}(v) for the
@@ -372,9 +368,16 @@ def yb_defect(i: int, u, v, lam, n: int) -> DefectResult:
     return DefectResult(matrix=d, max_entry=max_entry, max_position=max_pos)
 
 
+# sign convention (s_u, s_c) of the delta-interaction operator
+# Y^d_i(u) = (s_u u T_i + s_c ic) / (u - ic): a fixed convention, not a search
+# result, since all four sign variants pass exact unitarity and the exact
+# Yang-Baxter relation, so neither check can single one out
+DELTA_SIGNS = (1, 1)
+
+
 def delta_yang_op(i: int, u, c, n: int) -> GroupAlgebraElement:
     """Delta-interaction exchange operator (ic + u T_i) / (u - ic), in the
-    sign convention (s_u, s_c) = delta_variant() = (1, 1)."""
+    sign convention (s_u, s_c) = DELTA_SIGNS = (1, 1)."""
     _check_n(n)
     u = _fraction(u)
     c = _fraction(c)
@@ -387,16 +390,6 @@ def delta_yang_op(i: int, u, c, n: int) -> GroupAlgebraElement:
 def check_delta_unitarity(i: int, u, c, n: int) -> bool:
     """Exact truth of Y^d_i(-u) Y^d_i(u) = identity."""
     return _is_unitary(lambda arg: delta_yang_op(i, arg, c, n), u, n)
-
-
-def delta_variant() -> tuple[int, int]:
-    """Sign convention (s_u, s_c) = (1, 1) of the delta-interaction operator,
-    i.e. Y^d_i(u) = (u T_i + ic) / (u - ic).
-
-    A fixed convention, not a search result: all four sign variants pass
-    exact unitarity and the exact Yang-Baxter relation, so neither check
-    can single one out."""
-    return (1, 1)
 
 
 def delta_control_defect(i: int, u, v, c, n: int) -> GroupAlgebraElement:

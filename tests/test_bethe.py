@@ -857,6 +857,25 @@ def test_solvers_name_a_non_finite_box_or_coupling(call, name):
         call()
 
 
+@pytest.mark.parametrize("call, text", [
+    pytest.param(lambda: solve_bethe(2.5, 10.0, 1.0), "n must be an integer, got n = 2.5",
+                 id="bethe-n-2.5"),
+    pytest.param(lambda: solve_lieb_liniger(3.0, 10.0, 1.0), "n must be an integer, got n = 3.0",
+                 id="lieb_liniger-n-3.0"),
+    pytest.param(lambda: ground_state_scan(1.0, 1.0, [4, 8.7]),
+                 r"sizes must be integers, got \[8.7\]", id="gs_scan-size-8.7"),
+])
+def test_a_count_that_is_not_an_integer_is_named(call, text):
+    # not a bare TypeError from range(), and never a silently truncated N
+    with pytest.raises(ValueError, match=text):
+        call()
+
+
+def test_integer_counts_may_be_numpy_integers():
+    assert solve_bethe(np.int64(3), 10.0, 1.0) == solve_bethe(3, 10.0, 1.0)
+    assert ground_state_scan(1.0, 1.0, [np.int64(4)]) == ground_state_scan(1.0, 1.0, [4])
+
+
 def test_solver_signals_non_convergence():
     with pytest.raises(ConvergenceError):
         solve_bethe(4, 10.0, 5.0, max_iter=1)
@@ -924,6 +943,12 @@ def test_duality_wrong_phase_control():
 def test_duality_rejects_attractive():
     with pytest.raises(ValueError):
         duality_check(3, 10.0, -1.0)
+
+
+def test_duality_names_a_lambda_whose_inverse_overflows():
+    # the message names the lam the caller passed, not the c = 1/lam it never did
+    with pytest.raises(ValueError, match=r"lam = 1e-309 .*c = 1/lam overflows float64"):
+        duality_check(3, 10.0, 1e-309)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def _triple_table() -> str:
         u, v, lam = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 9))
                      for _ in range(3))
         defect = yb_defect(i, u, v, lam, n)
-        row, col, entry = defect.witness()
+        row, col, entry = defect.matrix.first_nonzero()
         rows.append({
             "n": n, "i": i, "u": str(u), "v": str(v), "lam": str(lam),
             "max_entry": str(defect.max_entry),

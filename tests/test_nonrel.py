@@ -251,3 +251,40 @@ def test_coleman_full_product():
     # the full relation approaches pi^2/4 only in the strong-coupling limit
     assert coleman_full_product(1e9, 1.0) == pytest.approx(math.pi ** 2 / 4.0, rel=1e-8)
     assert coleman_full_product(g, 1.0) == coleman_full_product(g, 7.0)
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs are named instead of returning NaN
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: dispersion(1.0, NAN, 1.0), "mass and speed of light must be positive",
+                 id="dispersion-m-nan"),
+    pytest.param(lambda: dispersion(INF, 1.0, 1.0), "k must be finite, got k = inf",
+                 id="dispersion-k-inf"),
+    pytest.param(lambda: bogoliubov(1.0, INF, 1.0), "mass and speed of light must be positive",
+                 id="bogoliubov-m-inf"),
+    pytest.param(lambda: coleman_check(NAN, 1.0), "applies to g > 0", id="coleman-g-nan"),
+    pytest.param(lambda: coleman_full_product(1.0, INF), "speed of light must be positive",
+                 id="coleman_full-c-inf"),
+    pytest.param(lambda: coupling_maps(g=NAN, beta=1.0, m=1.0, c=1.0),
+                 "g must be finite, got g = nan", id="coupling_maps-g-nan"),
+    pytest.param(lambda: coupling_maps(g=1.0, beta=INF, m=1.0, c=1.0),
+                 "beta must be finite, got beta = inf", id="coupling_maps-beta-inf"),
+    pytest.param(lambda: coupling_maps(g=1.0, beta=1.0, m=1.0, c=1.0, g_b=NAN),
+                 "g_b must be finite, got g_b = nan", id="coupling_maps-g_b-nan"),
+    pytest.param(lambda: dispersion_scan(NAN, [10.0, 20.0]), "k must be finite, got k = nan",
+                 id="dispersion_scan-k-nan"),
+    # a NaN must not reach LAPACK, which prints a DLASCL error on stderr and
+    # raises LinAlgError "SVD did not converge"
+    pytest.param(lambda: dispersion_scan(1.0, [10.0, NAN]), "mc values must be positive",
+                 id="dispersion_scan-mc-nan"),
+    pytest.param(lambda: vertex_expansion_scan([1.0, 2.0, 3.0, 5.0], [10.0, INF]),
+                 "mc values must be positive", id="vertex_scan-mc-inf"),
+])
+def test_a_non_finite_input_is_named(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

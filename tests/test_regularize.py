@@ -209,6 +209,32 @@ def test_extrapolation_node_validation():
         extrapolate_integral(-1.0, 1.0, epsilons=(0.2, -0.1))
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: regularized_integral(1.0, NAN, 0.1), r"\|E\| must be positive",
+                 id="integral-e_abs-nan"),
+    pytest.param(lambda: regularized_integral(NAN, 1.0, 0.1), "lam must be finite, got lam = nan",
+                 id="integral-lam-nan"),
+    pytest.param(lambda: regularized_integral(-1.0, 1.0, INF), "epsilon must be positive",
+                 id="integral-epsilon-inf"),
+    pytest.param(lambda: closed_form(1.0, INF, 0.1), r"\|E\| must be positive",
+                 id="closed_form-e_abs-inf"),
+    pytest.param(lambda: constant_piece_cesaro(1.0, 0.1, NAN), "cutoff must be positive",
+                 id="cesaro-cutoff-nan"),
+    pytest.param(lambda: node_ratio([0.2, NAN]), "epsilon nodes must be positive",
+                 id="node_ratio-nan"),
+    pytest.param(lambda: richardson([1.0, 2.0], step_ratio=NAN), "step ratio must exceed 1",
+                 id="richardson-step_ratio-nan"),
+    pytest.param(lambda: bound_state_energy_via_regularization(-INF), "lam must be finite",
+                 id="bound_state_energy-lam-minus-inf"),
+])
+def test_a_non_finite_input_is_named(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # bound-state energy through the regularized route
 

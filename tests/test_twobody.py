@@ -162,6 +162,25 @@ def test_bound_state_requires_attractive_lambda():
         eval_two_body(state, +1.0, 0.5)
 
 
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: bound_state(math.nan), "lam must be finite, got lam = nan",
+                 id="bound_state-lam-nan"),
+    pytest.param(lambda: bound_state(-math.inf), "lam must be finite, got lam = -inf",
+                 id="bound_state-lam-minus-inf"),
+    pytest.param(lambda: scattering_state(Parity.ODD, math.inf), "k must be finite, got k = inf",
+                 id="scattering_state-k-inf"),
+    pytest.param(lambda: two_body_residual(scattering_state(Parity.ODD, 1.0), math.nan),
+                 "lam must be finite, got lam = nan", id="residual-lam-nan"),
+    pytest.param(lambda: eval_two_body(scattering_state(Parity.EVEN, 1.0), 1.0, math.nan),
+                 "x must be finite, got x = nan", id="eval-x-nan"),
+    pytest.param(lambda: eval_two_body_derivative(bound_state(-1.0), -math.inf, 0.5),
+                 "lam must be finite, got lam = -inf", id="derivative-lam-minus-inf"),
+])
+def test_a_non_finite_input_is_named(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # bc_residual plumbing (the N-body entry point)
 

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from momgas.yang_baxter import (
-    GR_I, GR_ONE, GR_ZERO,
+    DELTA_SIGNS, GR_I, GR_ONE, GR_ZERO,
     GaussianRational, GroupAlgebraElement,
     check_delta_unitarity, check_unitarity, compose,
-    delta_control_defect, delta_variant, delta_yang_op, perm_sign,
+    delta_control_defect, delta_yang_op, perm_sign,
     regular_rep, sign_projection, trivial_projection, yang_op, yb_defect,
 )
 
@@ -220,7 +220,7 @@ def test_defect_nonzero_with_frozen_witness():
     assert not defect.is_zero
     assert defect.max_entry == GaussianRational(Fraction(7, 10), Fraction(0))
     assert defect.max_position == (0, 2)
-    row, col, entry = defect.witness()
+    row, col, entry = defect.matrix.first_nonzero()
     assert (row, col) == (0, 1)
     assert entry == GaussianRational(Fraction(-7, 10), Fraction(0))
 
@@ -333,8 +333,8 @@ def _signed_delta_op(i, u, c, n, s_u, s_c):
     return num.scale(GR_ONE / (GaussianRational.of(u) - GR_I * c))
 
 
-def test_delta_variant_is_plus_plus():
-    assert delta_variant() == (1, 1)
+def test_delta_signs_are_plus_plus():
+    assert DELTA_SIGNS == (1, 1)
     for (i, u, c, n) in ((1, 2, 1, 3), (2, Fraction(3, 7), Fraction(-2, 5), 4)):
         assert delta_yang_op(i, u, c, n) == _signed_delta_op(i, u, c, n, 1, 1)
 
