@@ -103,7 +103,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ConvergenceError
-from .twobody import _require_finite, bc_residual
+from .twobody import _check_finite, _check_integer, _require_finite, bc_residual
 from .yang_baxter import perm_sign
 
 __all__ = [
@@ -162,6 +162,7 @@ def gaudin_amplitudes(momenta, lam: float) -> dict[tuple[int, ...], complex]:
     of the momentum occupying slot j).  At lam = 0 this reduces to sgn(P).
     """
     k = _gaudin_momenta(momenta)
+    _check_finite(lam=lam)
     n = len(k)
     if n > MAX_PARTICLES_ENUMERATED:
         raise ValueError(f"N = {n} exceeds the N! enumeration guard ({MAX_PARTICLES_ENUMERATED})")
@@ -327,20 +328,19 @@ class BetheWavefunction:
         phases = [cmath.exp(1j * (km * ys)) for km in self.momenta for ys in y]
         return _passes(self._columns, phases, lo, hi, 1 + 0j, operator.mul, sum)
 
-    def contact_limits(self, x, pair) -> tuple[complex, complex, complex, complex]:
-        """Limits on x_j = x_k +- 0+, (j, k) = pair, with x_k read as x_j:
-        (value +, value -, (d_j - d_k) chi +, (d_j - d_k) chi -).
+    def contact_limits(self, x, pair) -> tuple[complex, complex]:
+        """Limits (chi, (d_j - d_k) chi) on x_j = x_k + 0+, (j, k) = pair,
+        with x_k read as x_j.  The x_j = x_k - 0+ side is that sector with
+        the two swapped: -chi with the same slope (`bc_residual` reads it so).
 
-        The + side sorts k just before j, into slots r and r + 1; the - side
-        is that sector with the two swapped, of opposite sign and the same
-        (d_j - d_k) chi, so one wedge sum gives all four: the value
-        sum_m W[r][m] and the slope i sum_m k_m (W[r+1][m] - W[r][m]).  The
-        passes meet at the sets U of the first r + 1 slots: chi is
-        sum_U F(U) B(U), sum_m k_m W[r][m] weights the last momentum placed
-        by F(U) and sum_m k_m W[r+1][m] the next one placed by B(U).  It is
-        taken at y - x_j, the contact at the origin, where the phases of
-        slots r and r + 1 are exactly 1.  Each limit carries the unimodular
-        factor exp(-i K x_j), K = sum_m k_m."""
+        The + side sorts k just before j, into slots r and r + 1, so one
+        wedge sum gives the value sum_m W[r][m] and the slope
+        i sum_m k_m (W[r+1][m] - W[r][m]).  The passes meet at the sets U of
+        the first r + 1 slots: chi is sum_U F(U) B(U), sum_m k_m W[r][m]
+        weights the last momentum placed by F(U) and sum_m k_m W[r+1][m] the
+        next one placed by B(U).  It is taken at y - x_j, the contact at the
+        origin, where the phases of slots r and r + 1 are exactly 1.  Each
+        limit carries the unimodular factor exp(-i K x_j), K = sum_m k_m."""
         j, k = pair
         x = [float(v) for v in x]
         x[k] = x[j]
@@ -356,7 +356,7 @@ class BetheWavefunction:
         slope = 1j * (sum(map(operator.mul, forward[size], following))
                       - sum(map(operator.mul, placed, back[size])))
         s = perm_sign(order)
-        return s * value, -s * value, s * slope, s * slope
+        return s * value, s * slope
 
 
 def gaudin_wavefunction(momenta, lam: float) -> BetheWavefunction:
@@ -429,10 +429,7 @@ def ground_state_quantum_numbers(n: int) -> tuple[float, ...]:
 
 
 def _validate_quantum_numbers(qn) -> np.ndarray:
-    I = np.asarray([float(v) for v in qn], dtype=float)
-    for j, value in enumerate(I.tolist()):
-        if not math.isfinite(value):
-            raise ValueError(f"quantum numbers must be finite, got {value} at index {j}")
+    I = np.asarray(_require_finite(qn, "quantum number"), dtype=float)
     if not np.all(np.diff(I) > 0):
         raise ValueError("quantum numbers must be strictly increasing")
     return I
@@ -499,11 +496,11 @@ def _newton_log_form(I: np.ndarray, L: float, delta: float, theta, theta_prime,
 
     f = residual(k)
     for it in range(max_iter):
-        if np.max(np.abs(f)) <= tol:
+        norm0 = np.max(np.abs(f))
+        if norm0 <= tol:
             return k
         step = _newton_step(k, f, L, theta_prime)
         scale = 1.0
-        norm0 = np.max(np.abs(f))
         # step halving until the residual norm decreases
         for _ in range(60):
             trial = k + scale * step
@@ -529,8 +526,33 @@ def _newton_log_form(I: np.ndarray, L: float, delta: float, theta, theta_prime,
     )
 
 
-def _finish_state(k: np.ndarray, L: float, eta: float, I: np.ndarray,
-                  model: str, coupling: float) -> BetheState:
+def _validate_eta(eta: float) -> float:
+    if eta not in (0.0, math.pi):
+        raise ValueError(f"boundary phase eta must be 0 or pi, got {eta!r}")
+    return float(eta)
+
+
+def _solve_ring(n: int, L: float, eta: float, delta: float, quantum_numbers,
+                theta, theta_prime, tol: float, max_iter: int,
+                model: str, coupling: float) -> BetheState:
+    # shared by both models: validate, solve k_j L = 2 pi I_j + delta -
+    # sum_l theta(k_j - k_l), and package the ordered roots
+    _check_integer(n=n, max_iter=max_iter)
+    if n < 1:
+        raise ValueError(f"need at least one particle, got N = {n}")
+    if not math.isfinite(L):
+        raise ValueError(f"box length must be finite, got L = {L!r}")
+    if L <= 0:
+        raise ValueError("box length must be positive")
+    if max_iter < 1:
+        raise ValueError(f"need at least one Newton step, got max_iter = {max_iter}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got tol = {tol!r}")
+    I = _validate_quantum_numbers(
+        ground_state_quantum_numbers(n) if quantum_numbers is None else quantum_numbers)
+    if len(I) != n:
+        raise ValueError(f"need exactly N = {n} quantum numbers, got {len(I)}")
+    k = _newton_log_form(I, L, delta, theta, theta_prime, tol, max_iter)
     if not np.all(np.diff(k) > 0):
         raise ConvergenceError("solved momenta are not strictly ordered")
     return BetheState(
@@ -545,35 +567,6 @@ def _finish_state(k: np.ndarray, L: float, eta: float, I: np.ndarray,
     )
 
 
-def _validate_eta(eta: float) -> float:
-    if eta not in (0.0, math.pi):
-        raise ValueError(f"boundary phase eta must be 0 or pi, got {eta!r}")
-    return float(eta)
-
-
-def _solve_ring(n: int, L: float, eta: float, delta: float, quantum_numbers,
-                theta, theta_prime, tol: float, max_iter: int,
-                model: str, coupling: float) -> BetheState:
-    # shared by both models: validate, solve k_j L = 2 pi I_j + delta -
-    # sum_l theta(k_j - k_l), and package the ordered roots
-    if not isinstance(n, numbers.Integral):
-        raise ValueError(f"n must be an integer, got n = {n!r}")
-    if n < 1:
-        raise ValueError(f"need at least one particle, got N = {n}")
-    if not math.isfinite(L):
-        raise ValueError(f"box length must be finite, got L = {L!r}")
-    if L <= 0:
-        raise ValueError("box length must be positive")
-    if max_iter < 1:
-        raise ValueError(f"need at least one Newton step, got max_iter = {max_iter}")
-    I = _validate_quantum_numbers(
-        ground_state_quantum_numbers(n) if quantum_numbers is None else quantum_numbers)
-    if len(I) != n:
-        raise ValueError(f"need exactly N = {n} quantum numbers, got {len(I)}")
-    k = _newton_log_form(I, L, delta, theta, theta_prime, tol, max_iter)
-    return _finish_state(k, L, eta, I, model, coupling)
-
-
 def solve_bethe(n: int, L: float, lam: float, quantum_numbers=None,
                 eta: float | None = None, tol: float = 1e-13,
                 max_iter: int = 200) -> BetheState:
@@ -583,8 +576,7 @@ def solve_bethe(n: int, L: float, lam: float, quantum_numbers=None,
     guarantees real roots).  `eta` defaults to the parity rule; quantum
     numbers default to the symmetric ground-state block.
     """
-    if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got lam = {lam!r}")
+    _check_finite(lam=lam)
     if lam <= 0:
         raise ValueError(
             "lam must be positive: the attractive sector (lam <= 0) has complex "
@@ -606,8 +598,7 @@ def solve_lieb_liniger(n: int, L: float, c: float, eta: float = 0.0,
     Same logarithmic form with theta(u) = 2 arctan(u/c) and branch offset
     eta (periodic rings use eta = 0, the convention the duality refers to).
     """
-    if not math.isfinite(c):
-        raise ValueError(f"c must be finite, got c = {c!r}")
+    _check_finite(c=c)
     if c <= 0:
         raise ValueError("c must be positive (repulsive delta gas)")
     eta = _validate_eta(eta)
@@ -820,9 +811,7 @@ def gaudin_residual_scan(n: int, draws: int, seed: int = 0) -> list[dict]:
     its finite-difference Schroedinger residual at a random interior point.
     Deterministic for a fixed seed.  n and draws must be integers.
     """
-    for name, value in (("n", n), ("draws", draws)):
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {name} = {value!r}")
+    _check_integer(n=n, draws=draws)
     if n < 1:
         raise ValueError("need at least one particle")
     if draws < 1:

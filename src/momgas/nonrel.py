@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .twobody import _check_finite, _check_integer, _require_finite
+
 __all__ = [
     "BogoliubovPair",
     "dispersion", "dispersion_remainder", "dispersion_scan",
@@ -41,12 +43,6 @@ __all__ = [
 def _check_mass_speed(m: float, c: float) -> None:
     if not (0 < m < math.inf and 0 < c < math.inf):
         raise ValueError("mass and speed of light must be positive")
-
-
-def _check_finite(**values) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {name} = {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,11 +70,13 @@ def loglog_slope(x, y) -> float:
     """Least-squares slope of log|y| against log x.
 
     A line through fewer than two distinct x values is not determined, and
-    log|y| is -inf where y = 0: both raise instead of returning a NaN or a
-    rank-deficient fit.
+    log x is not real for x <= 0 and log|y| is -inf where y = 0: each raises
+    instead of returning a NaN or a rank-deficient fit.
     """
-    x = [float(v) for v in x]
-    y = [float(v) for v in y]
+    x = _require_finite(x, "x value")
+    y = _require_finite(y, "y value")
+    if not all(v > 0 for v in x):
+        raise ValueError(f"a log-log slope needs positive x values, got {x}")
     if len(set(x)) < 2:
         raise ValueError(f"a log-log slope needs at least two distinct x values, got {x}")
     zeros = [xi for xi, yi in zip(x, y) if yi == 0.0]
@@ -144,6 +142,7 @@ def vertex_exact(k1: float, k2: float, k3: float, k4: float,
 def vertex_leading(k1: float, k2: float, k3: float, k4: float,
                    m: float, c: float) -> float:
     """Leading 1/mc term of the vertex: (k1 - k3)(k2 - k4)/(4mc)^2."""
+    _check_finite(k1=k1, k2=k2, k3=k3, k4=k4)
     _check_mass_speed(m, c)
     return (k1 - k3) * (k2 - k4) / (4.0 * m * c) ** 2
 
@@ -179,8 +178,10 @@ def vertex_expansion_scan(ks, mc_values) -> dict:
 def sine_gordon_taylor_coeff(n: int, m: float, c: float, beta: float) -> float:
     """Coefficient of the 2n-th power in the cosine-potential expansion:
     (-1)^(n-1) (mc)^2 beta^(2n-2) / (2n)!.  Starts at the quartic term n = 2."""
-    if not isinstance(n, int) or n < 2:
+    _check_integer(n=n)
+    if n < 2:
         raise ValueError("the expansion starts at the quartic term: n >= 2")
+    n = int(n)   # numpy's pow of a numpy integer can round differently
     _check_mass_speed(m, c)
     _check_finite(beta=beta)
     return (-1.0) ** (n - 1) * (m * c) ** 2 * beta ** (2 * n - 2) / math.factorial(2 * n)

@@ -30,6 +30,7 @@ import functools
 import math
 
 from . import ConvergenceError
+from .twobody import _check_finite, _require_finite
 
 __all__ = [
     "closed_form", "constant_piece_cesaro",
@@ -40,8 +41,7 @@ __all__ = [
 
 
 def _validate(lam: float, e_abs: float, epsilon: float) -> None:
-    if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got lam = {lam!r}")
+    _check_finite(lam=lam)
     if lam == 0:
         raise ValueError("lam must be nonzero")
     if not 0 < e_abs < math.inf:
@@ -68,6 +68,7 @@ def constant_piece_cesaro(lam: float, epsilon: float, cutoff: float) -> float:
     L -> inf limit pointwise; averaging over L gives
     (4 lam/pi) (1 - cos(eps L)) / (eps^2 L), which vanishes like 1/L.
     """
+    _check_finite(lam=lam)
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive")
     if not 0 < cutoff < math.inf:
@@ -193,7 +194,7 @@ def richardson(values, step_ratio: float = 2.0) -> float:
     power series in h starting at first order, so stage j cancels the h^j
     term.  Three nodes at ratio 2 give (8 f(h) - 6 f(2h) + f(4h))/3.
     """
-    vals = [float(v) for v in values]
+    vals = _require_finite(values, "value")
     if len(vals) < 2:
         raise ValueError("need at least two values to extrapolate")
     if not 1 < step_ratio < math.inf:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -98,6 +99,18 @@ def _require_finite(values, name: str) -> list[float]:
     return out
 
 
+def _check_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {name} = {value!r}")
+
+
+def _check_integer(**values) -> None:
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {name} = {value!r}")
+
+
 def _sgn(x: float) -> int:
     return (x > 0) - (x < 0)
 
@@ -105,8 +118,7 @@ def _sgn(x: float) -> int:
 def scattering_state(parity: Parity, k: float) -> TwoBodyState:
     """Scattering state of given parity at real relative momentum k."""
     k = float(k)
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got k = {k!r}")
+    _check_finite(k=k)
     return TwoBodyState(parity=parity, k=complex(k), energy=k * k)
 
 
@@ -115,8 +127,7 @@ def bound_state(lam: float) -> TwoBodyState | None:
 
     Exists iff lam < 0, at k = i/(2*lam) with E = -1/(4*lam^2).
     """
-    if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got lam = {lam!r}")
+    _check_finite(lam=lam)
     if lam == 0:
         raise ValueError("lam = 0 is the free model; no bound state is defined")
     if lam > 0:
@@ -127,10 +138,7 @@ def bound_state(lam: float) -> TwoBodyState | None:
 def _branch(state: TwoBodyState, lam: float, x: float, sgn: int) -> tuple[complex, complex]:
     # value and derivative at x with the sgn(x) branch fixed to `sgn`; at
     # x = 0, sgn = +-1 gives the one-sided limits x -> +-0+ analytically
-    if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got lam = {lam!r}")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got x = {x!r}")
+    _check_finite(lam=lam, x=x)
     if state.parity is Parity.EVEN:
         return cmath.cos(state.k * x), -state.k * cmath.sin(state.k * x)
     if state.bound:
@@ -186,9 +194,9 @@ def bc_residual(wavefunction, lam: float, pair: tuple[int, int],
                 base_point) -> BoundaryResidual:
     """Defects of the N-body matching conditions at a point on x_j = x_k.
 
-    `wavefunction` is a `bethe.BetheWavefunction`; one call to its
-    ``contact_limits(x, pair) -> (vp, vm, dplus, dminus)`` takes the values
-    and the (d_j - d_k) derivatives on x_j = x_k +- 0+ analytically.
+    `wavefunction` is a `bethe.BetheWavefunction`; its ``contact_limits``
+    gives chi and (d_j - d_k) chi on x_j = x_k + 0+ analytically, and
+    antisymmetry gives the - side: -chi with the same (d_j - d_k) chi.
     `pair` holds 0-based coordinate indices (j, k); `base_point` holds one
     coordinate per particle and must lie on the hyperplane x_j = x_k (to
     1e-9 relative; x_k is then read as x_j) with all spectator coordinates
@@ -200,13 +208,12 @@ def bc_residual(wavefunction, lam: float, pair: tuple[int, int],
     (d_j - d_k) chi continuity, and the value jump minus
     2*lam*(d_j - d_k) chi taken on the x_j = x_k - 0+ side.  The first
     holds by antisymmetry for every amplitude table, so `derivative_jump`
-    is exactly 0.0; the second pins the amplitudes.
+    is exactly 0j; the second pins the amplitudes.
     """
     j, k = pair
     x = _require_finite(base_point, "base_point coordinate")
     n = len(x)
-    if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got lam = {lam!r}")
+    _check_finite(lam=lam)
     if n != wavefunction.n:
         raise ValueError(f"base_point has {n} coordinates, but the wavefunction has "
                          f"{wavefunction.n} particles")
@@ -224,8 +231,8 @@ def bc_residual(wavefunction, lam: float, pair: tuple[int, int],
             if abs(va - vb) < 1e-9 * scale:
                 raise ValueError("spectator coordinates coincide; the sector is ill-defined")
 
-    vp, vm, dplus, dminus = wavefunction.contact_limits(x, pair)
+    value, slope = wavefunction.contact_limits(x, pair)
     return BoundaryResidual(
-        derivative_jump=dplus - dminus,
-        value_jump_defect=(vp - vm) - 2.0 * lam * dminus,
+        derivative_jump=0j,
+        value_jump_defect=(value - -value) - 2.0 * lam * slope,
     )

@@ -41,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .twobody import _check_integer
+
 __all__ = [
     "GaussianRational", "GroupAlgebraElement", "DefectResult",
     "compose", "perm_sign", "regular_rep",
@@ -156,6 +158,7 @@ def _rank(p) -> int:
 
 
 def _check_n(n: int) -> None:
+    _check_integer(n=n)
     if n < 1:
         raise ValueError(f"N = {n} is not a positive particle number")
 

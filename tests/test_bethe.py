@@ -228,11 +228,13 @@ def test_gaudin_wavefunction_is_finite_at_lam_1e200():
 def test_contact_limits_match_the_wavefunction_off_the_contact(wf, pair):
     # the limits times exp(i K x_j) are eval_wavefunction and its central
     # difference along d_j - d_k at x_j - x_k = +-2 delta; the step h keeps
-    # every difference point on one side of the contact
+    # every difference point on one side of the contact.  The - side is
+    # built by antisymmetry, -value with the same slope, as bc_residual
+    # reads it, and checked against the independent evaluation
     j, k = pair
     x = [1.1, 2.4, 0.3]
     x[k] = x[j]
-    vp, vm, dplus, dminus = wf.contact_limits(x, pair)
+    value, slope = wf.contact_limits(x, pair)
     factor = cmath.exp(1j * sum(wf.momenta) * x[j])
     delta, h = 2e-6, 1e-7
 
@@ -242,10 +244,10 @@ def test_contact_limits_match_the_wavefunction_off_the_contact(wf, pair):
         y[k] -= shift
         return eval_wavefunction(wf, y)
 
-    for side, value, slope in ((+1, vp, dplus), (-1, vm, dminus)):
+    scale = abs(value) + abs(slope)
+    for side in (+1, -1):
         s = side * delta
-        scale = abs(value) + abs(slope)
-        assert abs(chi(s) - value * factor) <= 1e-5 * scale
+        assert abs(chi(s) - side * value * factor) <= 1e-5 * scale
         assert abs((chi(s + h) - chi(s - h)) / (2 * h) - slope * factor) <= 1e-4 * scale
 
 
@@ -471,7 +473,7 @@ def test_recursion_matches_the_n_factorial_references(n):
         assert abs(eval_wavefunction(wf, x) - perm_sign(order) * terms.sum()) <= bound
         for r in range(n - 1):
             pair = (order[r + 1], order[r])
-            vp, _, slope, _ = wf.contact_limits(x, pair)
+            vp, slope = wf.contact_limits(x, pair)
             value, ref_slope = _table_contact_limits(wf, x, pair)
             assert abs(vp - value) <= bound
             assert abs(slope - ref_slope) <= bound * 2 * max(map(abs, k))
@@ -596,7 +598,7 @@ def test_quantum_number_blocks():
 def test_non_finite_quantum_numbers_are_named(solve, qn, text, index):
     # checked before the ordering, without a RuntimeWarning: nan is not "out
     # of order", and inf never reaches the Newton floor check
-    with pytest.raises(ValueError, match=rf"must be finite, got {text} at index {index}$"):
+    with pytest.raises(ValueError, match=rf"quantum number {index} is not finite: {text}$"):
         solve(2, 10.0, 1.0, quantum_numbers=qn)
 
 
@@ -850,6 +852,8 @@ def test_solver_rejects_bad_input():
     (lambda: solve_lieb_liniger(4, -math.inf, 1.0), "box length must be finite, got L = -inf"),
     (lambda: solve_lieb_liniger(4, 10.0, math.nan), "c must be finite, got c = nan"),
     (lambda: solve_lieb_liniger(4, 10.0, math.inf), "c must be finite, got c = inf"),
+    pytest.param(lambda: gaudin_amplitudes([0.1, 0.5], math.nan),
+                 "lam must be finite, got lam = nan", id="gaudin_amplitudes-lam-nan"),
 ])
 def test_solvers_name_a_non_finite_box_or_coupling(call, name):
     # not a Newton failure, and never a state with free roots
@@ -864,6 +868,8 @@ def test_solvers_name_a_non_finite_box_or_coupling(call, name):
                  id="lieb_liniger-n-3.0"),
     pytest.param(lambda: ground_state_scan(1.0, 1.0, [4, 8.7]),
                  r"sizes must be integers, got \[8.7\]", id="gs_scan-size-8.7"),
+    pytest.param(lambda: solve_bethe(4, 10.0, 1.0, max_iter=2.5),
+                 "max_iter must be an integer, got max_iter = 2.5", id="bethe-max_iter-2.5"),
 ])
 def test_a_count_that_is_not_an_integer_is_named(call, text):
     # not a bare TypeError from range(), and never a silently truncated N
@@ -874,6 +880,14 @@ def test_a_count_that_is_not_an_integer_is_named(call, text):
 def test_integer_counts_may_be_numpy_integers():
     assert solve_bethe(np.int64(3), 10.0, 1.0) == solve_bethe(3, 10.0, 1.0)
     assert ground_state_scan(1.0, 1.0, [np.int64(4)]) == ground_state_scan(1.0, 1.0, [4])
+
+
+@pytest.mark.parametrize("solve", [solve_bethe, solve_lieb_liniger])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tol_must_be_positive_and_finite(solve, tol):
+    # a validation error before the first step, not a Newton stall
+    with pytest.raises(ValueError, match=f"tol must be positive and finite, got tol = {tol!r}"):
+        solve(4, 10.0, 1.0, tol=tol)
 
 
 def test_solver_signals_non_convergence():

@@ -246,6 +246,17 @@ def test_exit_1_names_a_step_budget_below_one(capsys, argv, max_iter):
     assert f"max_iter = {max_iter}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bethe-solve", "--n", "4", "--box", "10", "--lambda", "1"],
+    ["ll-solve", "--n", "4", "--box", "10", "--c", "1"],
+])
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_exit_1_names_a_tolerance_that_is_not_positive(capsys, argv, tol):
+    # a malformed flag, not a Newton stall (exit 2)
+    assert main(argv + [f"--tol={tol}"]) == 1
+    assert f"tol must be positive and finite, got tol = {float(tol)!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ks,count", [("1,2", 2), ("1,2,3,4,5", 5)])
 def test_exit_1_names_the_four_vertex_momenta(capsys, ks, count):
     assert main(["vertex-scan", "--k", ks]) == 1

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from momgas.nonrel import (
@@ -56,6 +57,9 @@ def test_loglog_slope_rejects_degenerate_data():
     # one distinct x leaves the line undetermined; y = 0 has no logarithm
     with pytest.raises(ValueError, match=r"two distinct x values, got \[10.0, 10.0\]"):
         loglog_slope([10.0, 10.0], [1.0, 2.0])
+    # log x is not real: not a LAPACK message on stderr and a LinAlgError
+    with pytest.raises(ValueError, match=r"positive x values, got \[-1.0, 2.0\]"):
+        loglog_slope([-1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError, match=r"nonzero y values, got y = 0 at x = \[2.0\]"):
         loglog_slope([1.0, 2.0, 4.0], [1.0, 0.0, 3.0])
     # the scans that fit a slope: the remainder vanishes identically at k = 0,
@@ -176,8 +180,14 @@ def test_sine_gordon_quartic_coefficient():
     assert ratio == pytest.approx(-beta ** 2 * math.factorial(4) / math.factorial(6))
     with pytest.raises(ValueError):
         sine_gordon_taylor_coeff(1, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be an integer, got n = 2.0"):
         sine_gordon_taylor_coeff(2.0, 1.0, 1.0, 1.0)
+
+
+def test_sine_gordon_order_may_be_a_numpy_integer():
+    # a count, as the ring solvers' n: any integer type, the same float
+    assert (sine_gordon_taylor_coeff(np.int64(3), 1.0, 1.0, 0.7)
+            == sine_gordon_taylor_coeff(3, 1.0, 1.0, 0.7))
 
 
 def test_coupling_maps_rejects_nonpositive_mass_and_speed():
@@ -284,6 +294,10 @@ NAN, INF = math.nan, math.inf
                  id="dispersion_scan-mc-nan"),
     pytest.param(lambda: vertex_expansion_scan([1.0, 2.0, 3.0, 5.0], [10.0, INF]),
                  "mc values must be positive", id="vertex_scan-mc-inf"),
+    pytest.param(lambda: vertex_leading(NAN, 1.0, 2.0, 3.0, 1.0, 1.0),
+                 "k1 must be finite, got k1 = nan", id="vertex_leading-k1-nan"),
+    pytest.param(lambda: loglog_slope([1.0, 2.0], [1.0, NAN]), "y value 1 is not finite: nan",
+                 id="loglog_slope-y-nan"),
 ])
 def test_a_non_finite_input_is_named(call, match):
     with pytest.raises(ValueError, match=match):

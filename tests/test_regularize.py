@@ -223,10 +223,14 @@ NAN, INF = math.nan, math.inf
                  id="closed_form-e_abs-inf"),
     pytest.param(lambda: constant_piece_cesaro(1.0, 0.1, NAN), "cutoff must be positive",
                  id="cesaro-cutoff-nan"),
+    pytest.param(lambda: constant_piece_cesaro(NAN, 0.1, 1.0), "lam must be finite, got lam = nan",
+                 id="cesaro-lam-nan"),
     pytest.param(lambda: node_ratio([0.2, NAN]), "epsilon nodes must be positive",
                  id="node_ratio-nan"),
     pytest.param(lambda: richardson([1.0, 2.0], step_ratio=NAN), "step ratio must exceed 1",
                  id="richardson-step_ratio-nan"),
+    pytest.param(lambda: richardson([1.0, NAN]), "value 1 is not finite: nan",
+                 id="richardson-values-nan"),
     pytest.param(lambda: bound_state_energy_via_regularization(-INF), "lam must be finite",
                  id="bound_state_energy-lam-minus-inf"),
 ])

@@ -117,6 +117,12 @@ def test_regular_rep_validates_input():
         GroupAlgebraElement.identity(0)
 
 
+def test_a_particle_number_that_is_not_an_integer_is_named():
+    # not a bare TypeError from range()
+    with pytest.raises(ValueError, match="n must be an integer, got n = 3.5"):
+        yb_defect(1, 1, 2, 1, 3.5)
+
+
 def test_group_algebra_basics():
     ident = GroupAlgebraElement.identity(3)
     zero = GroupAlgebraElement.zero(3)
