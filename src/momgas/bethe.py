@@ -83,8 +83,9 @@ point, 64 bits finer than the working precision, so only the N^2 phases
 and the final O(N^2) combination are mpmath operations; its error bound,
 fewer than 2^21 units of the last fixed-point bit at N = 8, is derived in
 the function's docstring.  `gaudin_residual_scan` builds one state per
-draw and passes it to both checks.  mpmath is imported by the probe on
-first use, so the ring solvers load numpy alone.
+draw and passes it to both checks.  numpy is imported by the ring
+solvers and mpmath by the probe, each when it runs, so the ring solvers
+load numpy alone and the Gaudin checks mpmath alone.
 """
 
 from __future__ import annotations
@@ -98,13 +99,14 @@ import operator
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import ConvergenceError
 from .twobody import _check_finite, _check_integer, _require_finite, bc_residual
 from .yang_baxter import perm_sign
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_PARTICLES_ENUMERATED", "ConvergenceError",
@@ -429,6 +431,8 @@ def ground_state_quantum_numbers(n: int) -> tuple[float, ...]:
 
 
 def _validate_quantum_numbers(qn) -> np.ndarray:
+    import numpy as np
+
     I = np.asarray(_require_finite(qn, "quantum number"), dtype=float)
     if not np.all(np.diff(I) > 0):
         raise ValueError("quantum numbers must be strictly increasing")
@@ -445,6 +449,8 @@ def _jacobi_pcg(diag: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # conjugate gradients for (diag(diag) - a) x = b, preconditioned by the
     # diagonal; stops at a recursive residual of 1e-15 ||b|| or after N
     # iterations, the exact-arithmetic bound
+    import numpy as np
+
     x = b / diag
     r = b - (diag * x - a @ x)
     z = r / diag
@@ -471,6 +477,8 @@ def _newton_step(k: np.ndarray, f: np.ndarray, L: float, theta_prime) -> np.ndar
     # module docstring).  a is filled in row blocks, is the only N x N array
     # on the CG path, and is freed on return, before the damping loop
     # evaluates the residual
+    import numpy as np
+
     n = len(k)
     a = np.empty((n, n))
     for rows in _row_blocks(n):
@@ -486,6 +494,8 @@ def _newton_step(k: np.ndarray, f: np.ndarray, L: float, theta_prime) -> np.ndar
 
 def _newton_log_form(I: np.ndarray, L: float, delta: float, theta, theta_prime,
                      tol: float, max_iter: int) -> np.ndarray:
+    import numpy as np
+
     k = (2.0 * math.pi * I + delta) / L   # free-model initial guess
 
     def residual(kv):
@@ -537,6 +547,8 @@ def _solve_ring(n: int, L: float, eta: float, delta: float, quantum_numbers,
                 model: str, coupling: float) -> BetheState:
     # shared by both models: validate, solve k_j L = 2 pi I_j + delta -
     # sum_l theta(k_j - k_l), and package the ordered roots
+    import numpy as np
+
     _check_integer(n=n, max_iter=max_iter)
     if n < 1:
         raise ValueError(f"need at least one particle, got N = {n}")
@@ -576,6 +588,8 @@ def solve_bethe(n: int, L: float, lam: float, quantum_numbers=None,
     guarantees real roots).  `eta` defaults to the parity rule; quantum
     numbers default to the symmetric ground-state block.
     """
+    import numpy as np
+
     _check_finite(lam=lam)
     if lam <= 0:
         raise ValueError(
@@ -598,6 +612,8 @@ def solve_lieb_liniger(n: int, L: float, c: float, eta: float = 0.0,
     Same logarithmic form with theta(u) = 2 arctan(u/c) and branch offset
     eta (periodic rings use eta = 0, the convention the duality refers to).
     """
+    import numpy as np
+
     _check_finite(c=c)
     if c <= 0:
         raise ValueError("c must be positive (repulsive delta gas)")
@@ -624,6 +640,8 @@ def bethe_residuals(state: BetheState) -> np.ndarray:
     hypot, which rounds like the scalar complex abs; the result is bit for
     bit that of the plain double loop over j and l.
     """
+    import numpy as np
+
     k = np.asarray(state.momenta)
     n = len(k)
     L = state.box_length
@@ -661,7 +679,6 @@ def duality_check(n: int, L: float, lam: float, eta: float | None = None) -> dic
         raise ValueError(f"lam = {lam!r} has no dual delta gas: c = 1/lam overflows float64")
     qn = fermion.quantum_numbers
     boson = solve_lieb_liniger(n, L, c_dual, quantum_numbers=qn)
-    diff = np.abs(np.asarray(fermion.momenta) - np.asarray(boson.momenta))
     return {
         "n": n,
         "box_length": float(L),
@@ -672,7 +689,7 @@ def duality_check(n: int, L: float, lam: float, eta: float | None = None) -> dic
         "quantum_numbers": [float(v) for v in qn],
         "fermion_roots": [float(v) for v in fermion.momenta],
         "boson_roots": [float(v) for v in boson.momenta],
-        "max_abs_difference": float(diff.max()),
+        "max_abs_difference": max(abs(f - b) for f, b in zip(fermion.momenta, boson.momenta)),
     }
 
 

@@ -33,27 +33,10 @@ import json
 import math
 import os
 import sys
-import tempfile
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import ConvergenceError, __version__
-from .nonrel import (
-    coleman_check, coleman_full_product, coupling_maps, dispersion_scan,
-    vertex_expansion_scan,
-)
-from .regularize import (
-    bound_state_energy_via_regularization, closed_form, node_ratio,
-    regularized_integral, richardson,
-)
-from .twobody import (
-    Parity, bound_state, eval_two_body, eval_two_body_derivative,
-    scattering_state, two_body_residual,
-)
-from .yang_baxter import (
-    DELTA_SIGNS, check_delta_unitarity, check_unitarity, delta_control_defect,
-    sign_projection, trivial_projection, yb_defect,
-)
 
 __all__ = ["COMMANDS", "main"]
 
@@ -148,6 +131,8 @@ def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".momgas-", suffix=".tmp")
     try:
@@ -163,11 +148,17 @@ def _write_output(text: str, path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # handlers: args -> (results dict, csv rows, exit code).  Rows None means a
 # single-row command, whose CSV row is {**params, **results} projected onto
-# its columns.  The ring and Gaudin handlers import `bethe` (numpy, and
-# mpmath for the Gaudin probe) when they run, not with this module.
+# its columns.  Each handler imports its library module when it runs, not
+# with this module, so a cold process loads only the module it computes
+# with: numpy comes with the ring solvers of `bethe`, mpmath with its
+# Gaudin probe, and the other modules are plain Python.
 
 
 def _cmd_two_body(args):
+    from .twobody import (
+        Parity, eval_two_body, eval_two_body_derivative, scattering_state, two_body_residual,
+    )
+
     state = scattering_state(Parity(args.parity), args.k)
     res = two_body_residual(state, args.lam)
     samples = [{"x": x, "value": eval_two_body(state, args.lam, x),
@@ -187,6 +178,8 @@ def _cmd_two_body(args):
 
 
 def _cmd_bound_state(args):
+    from .twobody import bound_state, two_body_residual
+
     state = bound_state(args.lam)
     if state is None:
         return {"exists": False}, None, 0
@@ -272,6 +265,8 @@ def _cmd_gs_scan(args):
 
 
 def _cmd_yb_check(args):
+    from .yang_baxter import check_unitarity, sign_projection, trivial_projection, yb_defect
+
     i = args.i
     unitary = all(check_unitarity(site, arg, args.lam, args.n)
                   for site in (i, i + 1) for arg in (args.u, args.v))
@@ -298,6 +293,8 @@ def _cmd_yb_check(args):
 
 
 def _cmd_delta_control(args):
+    from .yang_baxter import DELTA_SIGNS, check_delta_unitarity, delta_control_defect
+
     i = args.i
     s_u, s_c = DELTA_SIGNS
     unitary = all(check_delta_unitarity(site, arg, args.c, args.n)
@@ -317,22 +314,30 @@ def _cmd_delta_control(args):
 
 
 def _cmd_vertex_scan(args):
+    from .nonrel import vertex_expansion_scan
+
     scan = vertex_expansion_scan(args.k, args.mc_values)
     return scan, scan["rows"], 0
 
 
 def _cmd_dispersion_scan(args):
+    from .nonrel import dispersion_scan
+
     scan = dispersion_scan(args.k, args.mc_values)
     return scan, scan["rows"], 0
 
 
 def _cmd_coupling_maps(args):
+    from .nonrel import coupling_maps
+
     maps = coupling_maps(g=args.g, beta=args.beta, m=args.m, c=args.c, g_b=args.g_b)
     cross = abs(maps["cB_from_sg"] - maps["cB_from_phi4"])
     return {**maps, "cB_cross_check_abs_diff": cross}, None, 0
 
 
 def _cmd_coleman(args):
+    from .nonrel import coleman_check, coleman_full_product
+
     product = coleman_check(args.g, args.c)
     target = math.pi ** 2 / 4.0
     return {"product": product, "full_product": coleman_full_product(args.g, args.c),
@@ -340,6 +345,8 @@ def _cmd_coleman(args):
 
 
 def _cmd_reg_integral(args):
+    from .regularize import closed_form, node_ratio, regularized_integral, richardson
+
     values = [regularized_integral(args.lam, args.e_abs, eps) for eps in args.epsilons]
     rows = [{"epsilon": eps, "value": value,
              "closed_form": closed_form(args.lam, args.e_abs, eps)}
@@ -352,6 +359,8 @@ def _cmd_reg_integral(args):
 
 
 def _cmd_reg_bound_state(args):
+    from .regularize import bound_state_energy_via_regularization
+
     energy = bound_state_energy_via_regularization(args.lam)
     reference = -1.0 / (4.0 * args.lam ** 2)
     return {"energy": energy, "closed_form_energy": reference,

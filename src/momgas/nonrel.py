@@ -69,26 +69,28 @@ def dispersion_remainder(k: float, m: float, c: float) -> float:
 def loglog_slope(x, y) -> float:
     """Least-squares slope of log|y| against log x.
 
-    A line through fewer than two distinct x values is not determined, and
-    log x is not real for x <= 0 and log|y| is -inf where y = 0: each raises
-    instead of returning a NaN or a rank-deficient fit.
+    A line through fewer than two distinct log x values is not determined
+    (distinct x can share a float64 logarithm, as 1e300 and its neighbour
+    do), and log x is not real for x <= 0 and log|y| is -inf where y = 0:
+    each raises instead of returning a NaN or dividing by zero.
     """
     x = _require_finite(x, "x value")
     y = _require_finite(y, "y value")
     if not all(v > 0 for v in x):
         raise ValueError(f"a log-log slope needs positive x values, got {x}")
-    if len(set(x)) < 2:
-        raise ValueError(f"a log-log slope needs at least two distinct x values, got {x}")
-    zeros = [xi for xi, yi in zip(x, y) if yi == 0.0]
+    lx = [math.log(v) for v in x]
+    if len(set(lx)) < 2:
+        cause = ("two distinct x values" if len(set(x)) < 2
+                 else "two x values whose float64 logarithms differ")
+        raise ValueError(f"a log-log slope needs at least {cause}, got {x}")
+    zeros = [xi for xi, yi in zip(x, y, strict=True) if yi == 0.0]
     if zeros:
         raise ValueError(f"a log-log slope needs nonzero y values, got y = 0 at x = {zeros}")
-    # imported here: the rest of the module is plain floats, and the
-    # coupling-map and Coleman subcommands should not pay for numpy
-    import numpy as np
-
-    lx = np.log(np.asarray(x))
-    ly = np.log(np.abs(np.asarray(y)))
-    return float(np.polyfit(lx, ly, 1)[0])
+    ly = [math.log(abs(v)) for v in y]
+    # centred sums: the slope is sum(dx dy) / sum(dx^2) about the means
+    mx, my = math.fsum(lx) / len(lx), math.fsum(ly) / len(ly)
+    dx = [v - mx for v in lx]
+    return math.fsum(d * (v - my) for d, v in zip(dx, ly)) / math.fsum(d * d for d in dx)
 
 
 def _mc_sweep(mc_values, row, fitted: str) -> tuple[list[dict], float]:

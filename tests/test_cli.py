@@ -205,6 +205,9 @@ def test_exit_1_names_a_non_finite_float_flag(capsys, argv, flag, text):
 @pytest.mark.parametrize("argv,reason", [
     (["dispersion-scan", "--k", "0"], "nonzero y values"),
     (["vertex-scan", "--mc-values", "10,10"], "two distinct x values"),
+    # numpy's polyfit fitted a slope of 0.0 through these two mc values
+    (["vertex-scan", "--mc-values", "1e20,1.0000000000000002e20"],
+     "float64 logarithms differ, got [1e+20, 1.0000000000000002e+20]"),
 ])
 def test_exit_1_on_a_degenerate_slope_fit(capsys, argv, reason):
     assert main(argv) == 1
@@ -380,7 +383,8 @@ def test_exit_1_names_a_flag_that_leaves_the_float64_range(fresh_python, argv, c
 
 def test_exit_3_when_an_exact_check_fails(capsys, monkeypatch):
     # unreachable through the real algebra; force it to pin the taxonomy
-    monkeypatch.setattr("momgas.cli.check_unitarity", lambda *a: False)
+    # the handler imports check_unitarity from its home module when it runs
+    monkeypatch.setattr("momgas.yang_baxter.check_unitarity", lambda *a: False)
     code = main(["yb-check", "--n", "3", "--u", "1", "--v", "2", "--lambda", "1"])
     assert code == 3
 
@@ -397,9 +401,9 @@ def test_reg_integral_integrates_each_node_once(capsys, monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    # both namespaces: the CLI's own calls and any made inside regularize
-    for module in (momgas.cli, momgas.regularize):
-        monkeypatch.setattr(module, "regularized_integral", counted)
+    # the home module: the handler imports the name from it when it runs,
+    # and calls made inside regularize look it up there
+    monkeypatch.setattr(momgas.regularize, "regularized_integral", counted)
     code, record = run_json(capsys, ["reg-integral"] + SMOKE["reg-integral"])
     assert code == 0
     assert [args[2] for args in calls] == [0.2, 0.1, 0.05]

@@ -47,8 +47,11 @@ def test_dispersion_scan_slope_is_minus_two():
 
 
 def test_loglog_slope_exact_on_power_law():
-    x = [1.0, 2.0, 4.0, 8.0]
-    assert loglog_slope(x, [v ** -3 for v in x]) == pytest.approx(-3.0, abs=1e-12)
+    for x in ([1.0, 2.0, 4.0, 8.0], [10.0, 20.0, 40.0, 80.0], [0.5, 3.0],
+              [1e-3, 1.0, 1e3, 1e6, 1e9]):
+        for power in (-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0):
+            slope = loglog_slope(x, [v ** power for v in x])
+            assert slope == pytest.approx(power, rel=0, abs=1e-14), (x, power)
     with pytest.raises(ValueError):
         loglog_slope([1.0], [1.0])
 
@@ -57,6 +60,9 @@ def test_loglog_slope_rejects_degenerate_data():
     # one distinct x leaves the line undetermined; y = 0 has no logarithm
     with pytest.raises(ValueError, match=r"two distinct x values, got \[10.0, 10.0\]"):
         loglog_slope([10.0, 10.0], [1.0, 2.0])
+    # distinct x can share a float64 logarithm: a ValueError, not a division by 0
+    with pytest.raises(ValueError, match="two x values whose float64 logarithms differ"):
+        loglog_slope([1e300, math.nextafter(1e300, math.inf)], [1.0, 2.0])
     # log x is not real: not a LAPACK message on stderr and a LinAlgError
     with pytest.raises(ValueError, match=r"positive x values, got \[-1.0, 2.0\]"):
         loglog_slope([-1.0, 2.0], [1.0, 2.0])
@@ -68,6 +74,23 @@ def test_loglog_slope_rejects_degenerate_data():
         dispersion_scan(0.0, [10.0, 20.0])
     with pytest.raises(ValueError, match="distinct x values"):
         vertex_expansion_scan([1.0, 2.0, 3.0, 5.0], [10.0, 10.0])
+
+
+def test_loglog_slope_matches_numpy_polyfit():
+    # 2-8 points, x in [1, e^5] at least 0.1 apart in log x, y a power law
+    # with log-normal noise and random signs
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(2, 8)
+        while True:
+            x = [math.exp(rng.uniform(0.0, 5.0)) for _ in range(n)]
+            lx = sorted(map(math.log, x))
+            if all(b - a >= 0.1 for a, b in zip(lx, lx[1:])):
+                break
+        p = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 4.0)
+        y = [rng.choice((-1.0, 1.0)) * v ** p * math.exp(0.1 * rng.gauss(0.0, 1.0)) for v in x]
+        reference = float(np.polyfit(np.log(x), np.log(np.abs(y)), 1)[0])
+        assert loglog_slope(x, y) == pytest.approx(reference, rel=1e-13, abs=0), seed
 
 
 # ---------------------------------------------------------------------------

@@ -321,15 +321,16 @@ def test_importing_momgas_leaves_scipy_unloaded():
 
 
 # the heavy libraries a cold process loads, by what it runs: the exact
-# algebra, the two-body closed forms, the coupling maps and the regularized
-# integral need none of them
+# algebra, the two-body closed forms, the non-relativistic scans and maps and
+# the regularized integral need none of them, the Gaudin checks only mpmath
 HEAVY = ("mpmath", "numpy", "scipy")
 FOOTPRINT = {
     "two-body": (), "bound-state": (), "yb-check": (), "delta-control": (),
-    "coupling-maps": (), "coleman": (), "reg-integral": (), "reg-bound-state": (),
+    "vertex-scan": (), "dispersion-scan": (), "coupling-maps": (), "coleman": (),
+    "reg-integral": (), "reg-bound-state": (),
     "bethe-solve": ("numpy",), "ll-solve": ("numpy",), "duality": ("numpy",),
-    "gs-scan": ("numpy",), "vertex-scan": ("numpy",), "dispersion-scan": ("numpy",),
-    "gaudin-check": ("mpmath", "numpy"),
+    "gs-scan": ("numpy",),
+    "gaudin-check": ("mpmath",),
 }
 _LOADED = f"sorted(m for m in {HEAVY} if m in sys.modules)"
 
@@ -342,6 +343,19 @@ def _loaded(proc):
 @pytest.mark.parametrize("module", ["momgas", "momgas.cli"])
 def test_importing_the_package_or_the_cli_loads_no_heavy_library(fresh_python, module):
     assert _loaded(fresh_python(f"import sys, {module}; print({_LOADED})")) == "[]"
+
+
+def test_importing_the_cli_loads_no_library_module(fresh_python):
+    # each handler imports its own module when it runs
+    code = "import sys, momgas.cli; print(sorted(m for m in sys.modules if m.startswith('momgas.')))"
+    assert _loaded(fresh_python(code)) == "['momgas.cli']"
+
+
+def test_the_gaudin_checks_leave_numpy_unloaded(fresh_python):
+    code = ("import sys, momgas\n"
+            "momgas.gaudin_residual_scan(3, 1)\n"
+            "print('numpy' in sys.modules, 'mpmath' in sys.modules)")
+    assert _loaded(fresh_python(code)) == "False True"
 
 
 def test_every_subcommand_has_a_pinned_footprint():
