@@ -33,10 +33,12 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import ConvergenceError, __version__
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["COMMANDS", "main"]
 
@@ -78,6 +80,7 @@ _int_list = _list_of(int, "integer")
 
 
 def _rational(text: str) -> Fraction:
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -89,7 +92,9 @@ def _eta_value(text: str | None) -> float | None:
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
+    # no Fraction exists unless fractions is loaded, so do not load it to ask
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
         return str(value)
     if isinstance(value, complex):
         return {"re": float(value.real), "im": float(value.imag)}

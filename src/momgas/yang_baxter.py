@@ -22,6 +22,15 @@ float statements:
     passes the same Yang-Baxter check exactly, so the failure above is a
     property of the model and not of the machinery.
 
+Numerators.  Each operator is N(u)/d(u) with N(u) = a 1 + b T_i and a
+scalar d(u) that never vanishes: (a, b, d) = (iu, -1/lam, iu - 1/lam) for Y_i
+and (ic, u, u - ic) for Y^d_i.  Unitarity is tested as N(-u) N(u) =
+d(-u) d(u) 1, with no division.  Both triple products share the denominator
+Delta = d(v) d(u+v) d(u), as d depends only on its argument and u + v = v + u
+exactly, so the defect is (N_L - N_R)/Delta and only its surviving entries
+are divided.  One nonzero constant scales every term of a product, so zero
+patterns and insertion order are those of the normalised products.
+
 Representation and conventions.  An operator is the group-algebra element
 sum_R a_R R of C[S_N], stored sparsely as {R: a_R} and multiplied by
 a_p b_q -> compose(p, q), where compose(p, q)(a) = p[q[a]].  The matrix of R
@@ -286,10 +295,20 @@ def _transposition(i: int, n: int) -> tuple[int, ...]:
     return tuple(t)
 
 
-def _exchange(i: int, n: int, a, b, d) -> GroupAlgebraElement:
-    # (a 1 + b T_i) / d, identity first (max_abs_entry's tie order), zeros dropped
-    terms = ((tuple(range(n)), a / d), (_transposition(i, n), b / d))
+def _exchange(i: int, n: int, ab) -> GroupAlgebraElement:
+    # a 1 + b T_i for ab = (a, b), identity first (max_abs_entry's tie order)
+    terms = zip((tuple(range(n)), _transposition(i, n)), ab)
     return GroupAlgebraElement(n, {r: v for r, v in terms if not v.is_zero})
+
+
+def _yang_parts(u, lam):
+    u = _fraction(u)
+    lam = _fraction(lam)
+    if lam == 0:
+        raise ValueError("lam must be nonzero")
+    iu = GaussianRational(Fraction(0), u)
+    b = GaussianRational(-1 / lam)
+    return (iu, b), iu + b   # d nonzero: u real, 1/lam != 0
 
 
 def yang_op(i: int, u, lam, n: int) -> GroupAlgebraElement:
@@ -298,24 +317,23 @@ def yang_op(i: int, u, lam, n: int) -> GroupAlgebraElement:
     (T_i -> +1, -1) are its trivial_projection, 1, and its sign_projection,
     (iu + 1/lam)/(iu - 1/lam)."""
     _check_n(n)
-    u = _fraction(u)
-    lam = _fraction(lam)
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
-    iu = GR_I * u
-    inv_lam = GaussianRational.of(1 / lam)
-    return _exchange(i, n, iu, -inv_lam, iu - inv_lam)   # nonzero: u real, 1/lam != 0
+    (a, b), d = _yang_parts(u, lam)
+    return _exchange(i, n, (a / d, b / d))
 
 
-def _is_unitary(y, u, n: int) -> bool:
-    # Y(-u) Y(u) == identity for the one-site operator builder y(arg)
+def _is_unitary(parts, i: int, u, n: int) -> bool:
+    # Y(-u) Y(u) == identity as N(-u) N(u) == d(-u) d(u) 1, for the
+    # numerator builder parts(arg) -> ((a, b), d)
     u = _fraction(u)
-    return (y(-u) @ y(u)) == GroupAlgebraElement.identity(n)
+    _check_n(n)
+    (ab_neg, d_neg), (ab, d) = parts(-u), parts(u)
+    product = _exchange(i, n, ab_neg) @ _exchange(i, n, ab)
+    return product == GroupAlgebraElement(n, {tuple(range(n)): d_neg * d})
 
 
 def check_unitarity(i: int, u, lam, n: int) -> bool:
     """Exact truth of Y_i(-u) Y_i(u) = identity."""
-    return _is_unitary(lambda arg: yang_op(i, arg, lam, n), u, n)
+    return _is_unitary(lambda arg: _yang_parts(arg, lam), i, u, n)
 
 
 def trivial_projection(m: GroupAlgebraElement) -> GaussianRational:
@@ -346,18 +364,20 @@ class DefectResult:
         return self.matrix.is_zero
 
 
-def _triple_defect(y, i: int, u, v, n: int, name: str) -> GroupAlgebraElement:
-    # Y_i(v) Y_{i+1}(u+v) Y_i(u) - Y_{i+1}(u) Y_i(v+u) Y_{i+1}(v) for the
-    # operator builder y(site, arg); the product order fixes the order in
-    # which entries first appear, and with it max_position's tie-breaking
+def _triple_defect(parts, i: int, u, v, n: int, name: str) -> GroupAlgebraElement:
+    # Y_i(v) Y_{i+1}(u+v) Y_i(u) - Y_{i+1}(u) Y_i(v+u) Y_{i+1}(v) = (N_L - N_R)/Delta
+    # for parts(arg) -> ((a, b), d); the product order fixes the order in which
+    # entries first appear, and with it max_position's tie-breaking
     _check_n(n)
     if not 1 <= i <= n - 2:
         raise ValueError(f"{name} needs sites i and i+1: i = {i} outside 1..{n - 2}")
     u = _fraction(u)
     v = _fraction(v)
-    left = y(i, v) @ y(i + 1, u + v) @ y(i, u)
-    right = y(i + 1, u) @ y(i, v + u) @ y(i + 1, v)
-    return left - right
+    (ab_u, d_u), (ab_v, d_v), (ab_uv, d_uv) = parts(u), parts(v), parts(u + v)
+    left = _exchange(i, n, ab_v) @ _exchange(i + 1, n, ab_uv) @ _exchange(i, n, ab_u)
+    right = _exchange(i + 1, n, ab_u) @ _exchange(i, n, ab_uv) @ _exchange(i + 1, n, ab_v)
+    delta = d_v * d_uv * d_u   # both sides' denominator: u + v == v + u exactly
+    return GroupAlgebraElement(n, {r: c / delta for r, c in (left - right).coeffs.items()})
 
 
 def yb_defect(i: int, u, v, lam, n: int) -> DefectResult:
@@ -366,7 +386,7 @@ def yb_defect(i: int, u, v, lam, n: int) -> DefectResult:
     Nonzero at generic (u, v): the exchange phase i/(u lam) is not additive
     in u, which is what the Yang-Baxter relation would require.
     """
-    d = _triple_defect(lambda site, arg: yang_op(site, arg, lam, n), i, u, v, n, "yb_defect")
+    d = _triple_defect(lambda arg: _yang_parts(arg, lam), i, u, v, n, "yb_defect")
     max_entry, max_pos = d.max_abs_entry()
     return DefectResult(matrix=d, max_entry=max_entry, max_position=max_pos)
 
@@ -378,25 +398,29 @@ def yb_defect(i: int, u, v, lam, n: int) -> DefectResult:
 DELTA_SIGNS = (1, 1)
 
 
-def delta_yang_op(i: int, u, c, n: int) -> GroupAlgebraElement:
-    """Delta-interaction exchange operator (ic + u T_i) / (u - ic), in the
-    sign convention (s_u, s_c) = DELTA_SIGNS = (1, 1)."""
-    _check_n(n)
+def _delta_parts(u, c):
     u = _fraction(u)
     c = _fraction(c)
     if c == 0:
         raise ValueError("c must be nonzero")
-    ic = GR_I * c
-    return _exchange(i, n, ic, GaussianRational.of(u), u - ic)
+    ic = GaussianRational(Fraction(0), c)
+    return (ic, GaussianRational(u)), GaussianRational(u, -c)   # d nonzero: c != 0
+
+
+def delta_yang_op(i: int, u, c, n: int) -> GroupAlgebraElement:
+    """Delta-interaction exchange operator (ic + u T_i) / (u - ic), in the
+    sign convention (s_u, s_c) = DELTA_SIGNS = (1, 1)."""
+    _check_n(n)
+    (a, b), d = _delta_parts(u, c)
+    return _exchange(i, n, (a / d, b / d))
 
 
 def check_delta_unitarity(i: int, u, c, n: int) -> bool:
     """Exact truth of Y^d_i(-u) Y^d_i(u) = identity."""
-    return _is_unitary(lambda arg: delta_yang_op(i, arg, c, n), u, n)
+    return _is_unitary(lambda arg: _delta_parts(arg, c), i, u, n)
 
 
 def delta_control_defect(i: int, u, v, c, n: int) -> GroupAlgebraElement:
     """Yang-Baxter defect of the delta-interaction operator: exactly the zero
     element (the solvable control for yb_defect)."""
-    return _triple_defect(lambda site, arg: delta_yang_op(site, arg, c, n),
-                          i, u, v, n, "delta control")
+    return _triple_defect(lambda arg: _delta_parts(arg, c), i, u, v, n, "delta control")

@@ -351,6 +351,20 @@ def test_importing_the_cli_loads_no_library_module(fresh_python):
     assert _loaded(fresh_python(code)) == "['momgas.cli']"
 
 
+def test_the_cli_loads_fractions_only_for_rational_flags(fresh_python):
+    # only yb-check and delta-control parse rationals; fractions drags in decimal
+    from test_cli import SMOKE
+    code = ("import contextlib, io, sys\n"
+            "import momgas.cli\n"
+            "loaded = lambda: [m in sys.modules for m in ('fractions', 'decimal')]\n"
+            "cold = loaded()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = momgas.cli.main(sys.argv[1:])\n"
+            "print(code, cold, loaded())\n")
+    proc = fresh_python(code, "two-body", *SMOKE["two-body"])
+    assert _loaded(proc) == "0 [False, False] [False, False]"
+
+
 def test_the_gaudin_checks_leave_numpy_unloaded(fresh_python):
     code = ("import sys, momgas\n"
             "momgas.gaudin_residual_scan(3, 1)\n"

@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from momgas.yang_baxter import (
     DELTA_SIGNS, GR_I, GR_ONE, GR_ZERO,
@@ -305,6 +305,65 @@ def test_defect_equals_the_sympy_closed_form(u, v, lam, n):
         coeffs = yb_defect(i, u, v, lam, n).matrix.coeffs
         t_i, t_next = _embed((1, 0, 2), i, n), _embed((0, 2, 1), i, n)
         assert coeffs == ({} if c.is_zero else {t_i: c, t_next: -c})
+
+
+# small rationals and values up to 1e6, as the exact benchmark draws them
+wide_rationals = st.one_of(rationals, st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                                   max_denominator=10 ** 6))
+
+
+def _normalised_defect(y, i, u, v):
+    return y(i, v) @ y(i + 1, u + v) @ y(i, u) - y(i + 1, u) @ y(i, v + u) @ y(i + 1, v)
+
+
+@given(wide_rationals, wide_rationals, wide_rationals.filter(lambda x: x != 0),
+       st.integers(3, 6), st.booleans())
+@example(Fraction(0), Fraction(2, 3), Fraction(5), 3, False)
+@example(Fraction(7, 4), Fraction(0), Fraction(-1, 2), 4, True)
+@example(Fraction(999983, 1000), Fraction(1), Fraction(1, 999979), 6, True)
+@settings(max_examples=30, deadline=None)
+def test_numerator_checks_equal_the_normalised_products(u, v, x, n, opposite):
+    # the checks work on numerators; the operators themselves, multiplied as
+    # they are, must give the same entries in the same insertion order
+    v = -u if opposite else v
+    ident = GroupAlgebraElement.identity(n)
+    for i in range(1, n - 1):
+        defect = yb_defect(i, u, v, x, n)
+        expected = _normalised_defect(lambda site, arg: yang_op(site, arg, x, n), i, u, v)
+        assert list(defect.matrix.coeffs.items()) == list(expected.coeffs.items())
+        assert (defect.max_entry, defect.max_position) == expected.max_abs_entry()
+        control = delta_control_defect(i, u, v, x, n)
+        expected = _normalised_defect(lambda site, arg: delta_yang_op(site, arg, x, n), i, u, v)
+        assert list(control.coeffs.items()) == list(expected.coeffs.items())
+        assert control.max_abs_entry() == expected.max_abs_entry()
+        for site in (i, i + 1):
+            for arg in (u, v, u + v):
+                for check, y in ((check_unitarity, yang_op), (check_delta_unitarity, delta_yang_op)):
+                    assert check(site, arg, x, n) == (y(site, -arg, x, n) @ y(site, arg, x, n) == ident)
+
+
+def test_the_exact_checks_divide_only_surviving_defect_entries(monkeypatch):
+    # unitarity compares numerators, and a defect divides each nonzero
+    # entry once by the shared denominator
+    calls = []
+    divide = GaussianRational.__truediv__
+    monkeypatch.setattr(GaussianRational, "__truediv__",
+                        lambda self, other: calls.append(1) or divide(self, other))
+
+    def divisions(check, *args):
+        calls.clear()
+        check(*args)
+        return len(calls)
+
+    u, v, x = Fraction(1, 3), Fraction(-5, 4), Fraction(7, 2)
+    for n in (3, 6):
+        for i in range(1, n - 1):
+            assert divisions(check_unitarity, i, u, x, n) == 0
+            assert divisions(check_delta_unitarity, i, u, x, n) == 0
+            assert divisions(delta_control_defect, i, u, v, x, n) == 0
+            terms = len(yb_defect(i, u, v, x, n).matrix.coeffs)
+            assert terms == 2
+            assert divisions(yb_defect, i, u, v, x, n) <= terms
 
 
 def test_defect_beyond_six_particles_equals_the_n3_defect():
