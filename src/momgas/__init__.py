@@ -46,7 +46,7 @@ _EXPORTS = {
     "bethe": (
         "BetheState", "BetheWavefunction",
         "bethe_residuals", "duality_check", "eval_wavefunction",
-        "gaudin_amplitudes", "gaudin_residual_scan", "gaudin_wavefunction",
+        "gaudin_residual_scan", "gaudin_wavefunction",
         "ground_state_scan", "schrodinger_residual", "solve_bethe", "solve_lieb_liniger",
     ),
     "yang_baxter": (

@@ -7,10 +7,9 @@ eigenfunction is a Gaudin-type sum of plane waves,
     chi(x) = sum_{P in S_N} A_P exp(i sum_j k_{Pj} x_j),
     A_P = sgn(P) * prod_{1 <= l < j <= N} (i*lam*(k_{Pj} - k_{Pl}) + 1),
 
-and the extension off the wedge is antisymmetric.  `gaudin_amplitudes`
-returns these raw products.  A state (`BetheWavefunction`) is the momenta
-and the pair ratios of A_P / A_id, the same eigenfunction up to a global
-constant:
+and the extension off the wedge is antisymmetric.  A state
+(`BetheWavefunction`) is the momenta and the pair ratios of A_P / A_id,
+the same eigenfunction up to a global constant:
 
     A_P / A_id = prod_{l<j} g[P_l][P_j],
     g[a][b] = 1 (a < b),
@@ -39,8 +38,8 @@ a time.  `bc_residual` reads each contact x_j = x_k in slots r and r + 1
 from one such sum, taken with the contact at the origin
 (`BetheWavefunction.contact_limits`): the value sum_m W[r][m] and the
 slope i sum_m k_m (W[r+1][m] - W[r][m]), in complex float.
-`eval_wavefunction` is the backward pass alone.  The amplitude table
-itself (`BetheWavefunction.amplitudes`) is built only on request.
+`eval_wavefunction` is the backward pass alone.  Nothing here enumerates
+S_N.
 
 Ring quantization.  On a ring of circumference L with boundary phase
 eta in {0, pi} the momenta obey
@@ -92,7 +91,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import numbers
 import operator
@@ -102,8 +100,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import ConvergenceError
-from .twobody import _check_finite, _check_integer, _require_finite, bc_residual
-from .yang_baxter import perm_sign
+from .twobody import _check_finite, _check_integer, _require_finite, bc_residual, perm_sign
 
 if TYPE_CHECKING:
     import numpy as np
@@ -111,14 +108,15 @@ if TYPE_CHECKING:
 __all__ = [
     "MAX_PARTICLES_ENUMERATED", "ConvergenceError",
     "BetheState", "BetheWavefunction",
-    "gaudin_amplitudes", "gaudin_wavefunction",
+    "gaudin_wavefunction",
     "eval_wavefunction",
     "solve_bethe", "solve_lieb_liniger", "bethe_residuals",
     "duality_check", "ground_state_scan", "ground_state_quantum_numbers",
     "schrodinger_residual", "gaudin_residual_scan",
 ]
 
-# permutation enumeration is capped: N! amplitudes
+# the largest N of a Gaudin state: the recursion's tables grow as 2^N, and
+# the checks are verified up to this N (lifting it is ROADMAP item 4)
 MAX_PARTICLES_ENUMERATED = 8
 
 # rows of an N x N pairwise array evaluated at once, in the log-form
@@ -155,39 +153,6 @@ def _gaudin_momenta(momenta) -> tuple[float, ...]:
         raise ValueError("need at least one momentum")
     _require_distinct(k, "momenta must be pairwise distinct (the determinant vanishes)")
     return tuple(k)
-
-
-def gaudin_amplitudes(momenta, lam: float) -> dict[tuple[int, ...], complex]:
-    """Raw wedge amplitudes A_P = sgn(P) * prod_{l<j} (i lam (k_Pj - k_Pl) + 1).
-
-    Keys are permutations of range(N) in one-line notation (P[j] is the index
-    of the momentum occupying slot j).  At lam = 0 this reduces to sgn(P).
-    """
-    k = _gaudin_momenta(momenta)
-    _check_finite(lam=lam)
-    n = len(k)
-    if n > MAX_PARTICLES_ENUMERATED:
-        raise ValueError(f"N = {n} exceeds the N! enumeration guard ({MAX_PARTICLES_ENUMERATED})")
-    # sgn(P) = prod_{l<j} sgn(P_j - P_l): each inverted pair's factor is negated
-    pair = [[1j * lam * (kb - ka) + 1.0 for kb in k] for ka in k]
-    for a in range(n):
-        for b in range(a):
-            pair[a][b] = -pair[a][b]
-    return _permutation_products(pair)
-
-
-def _permutation_products(pair) -> dict[tuple[int, ...], complex]:
-    # prod_{l<j} pair[P_l][P_j] for every permutation P of range(N)
-    n = len(pair)
-    out = {}
-    for p in itertools.permutations(range(n)):
-        a = 1 + 0j
-        for l in range(n):
-            row = pair[p[l]]
-            for j in range(l + 1, n):
-                a *= row[p[j]]
-        out[p] = a
-    return out
 
 
 def _gather(indices):
@@ -287,7 +252,8 @@ class BetheWavefunction:
     `pair_ratios` is an N x N matrix: 1 on and above the diagonal and
     unimodular below it (to 1e-12), where g[a][b] is the factor a pair
     picks up when a is placed before b.  N is capped at
-    MAX_PARTICLES_ENUMERATED.
+    MAX_PARTICLES_ENUMERATED: the recursion's tables grow as 2^N, and the
+    checks are verified up to that N.
     """
     momenta: tuple[float, ...]
     pair_ratios: tuple[tuple[complex, ...], ...]
@@ -318,12 +284,6 @@ class BetheWavefunction:
     @property
     def n(self) -> int:
         return len(self.momenta)
-
-    @functools.cached_property
-    def amplitudes(self) -> dict[tuple[int, ...], complex]:
-        """The N! amplitudes A_P / A_id, keyed as in `gaudin_amplitudes`,
-        built on first use; no check reads them."""
-        return _permutation_products(self.pair_ratios)
 
     def _sums(self, y, lo, hi) -> tuple[list, list, list, list]:
         # `_passes` of the wedge sum at ordered y, in complex float
@@ -564,6 +524,13 @@ def _solve_ring(n: int, L: float, eta: float, delta: float, quantum_numbers,
         ground_state_quantum_numbers(n) if quantum_numbers is None else quantum_numbers)
     if len(I) != n:
         raise ValueError(f"need exactly N = {n} quantum numbers, got {len(I)}")
+    # the free energy the roots start from, in scalar floats, which
+    # overflow to inf without a RuntimeWarning
+    top = float(np.max(np.abs(I)))
+    free = (2.0 * math.pi * top + abs(delta)) / L
+    if not math.isfinite(n * free * free):
+        raise ValueError(f"box length L = {L!r} is too small for N = {n} and max|I_j| = {top!r}: "
+                         "the free energy N ((2 pi max|I_j| + |delta|) / L)^2 overflows float64")
     k = _newton_log_form(I, L, delta, theta, theta_prime, tol, max_iter)
     if not np.all(np.diff(k) > 0):
         raise ConvergenceError("solved momenta are not strictly ordered")

@@ -14,7 +14,7 @@ Exit codes separate misuse from falsification:
   0  success
   1  validation error (bad flags, out-of-guard N, malformed or non-finite numbers,
      attractive-sector solve, finite flags whose arithmetic leaves the float64
-     range, ...)
+     range and so would put NaN or Infinity in the record, ...)
   2  numerical non-convergence (Newton iteration exhausted, a Fourier sum
      error estimate too large or value above its modulus bound or below its
      lower bound, a non-positive extrapolated integral in reg-bound-state)
@@ -103,6 +103,21 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     return value
+
+
+def _check_finite_results(results: dict) -> None:
+    # NaN and Infinity are not JSON: a result that left float64 is an
+    # ArithmeticError that names its field, as a flag's own overflow is
+    def walk(value, field):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ArithmeticError(f"{field} = {value!r}")
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{field}.{key}")
+        elif isinstance(value, list):
+            for index, item in enumerate(value):
+                walk(item, f"{field}[{index}]")
+    walk(_jsonable(results), "results")
 
 
 def _params_of(args: argparse.Namespace) -> dict:
@@ -511,12 +526,13 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         command = COMMANDS[args.command]
         results, rows, code = command.handler(args)
+        _check_finite_results(results)
     except (UsageError, ValueError, TypeError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConvergenceError) else 1
     except ArithmeticError as exc:
         # finite flags whose arithmetic leaves float64: a square underflowing
-        # to zero, an exp or a power overflowing
+        # to zero, an exp or a power overflowing, a result that is not finite
         print(f"error: {args.command}: float64 range exceeded ({exc})", file=sys.stderr)
         return 1
     if args.format == "csv":

@@ -111,6 +111,16 @@ def _check_integer(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {name} = {value!r}")
 
 
+def perm_sign(p) -> int:
+    sign = 1
+    p = tuple(p)
+    for a in range(len(p)):
+        for b in range(a + 1, len(p)):
+            if p[a] > p[b]:
+                sign = -sign
+    return sign
+
+
 def _sgn(x: float) -> int:
     return (x > 0) - (x < 0)
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .twobody import _check_integer
+from .twobody import _check_integer, perm_sign
 
 __all__ = [
     "GaussianRational", "GroupAlgebraElement", "DefectResult",
@@ -146,16 +146,6 @@ GR_I = GaussianRational(Fraction(0), Fraction(1))
 def compose(p, q) -> tuple[int, ...]:
     """(p o q)(a) = p[q[a]]: apply q first, then p."""
     return tuple(p[q[a]] for a in range(len(p)))
-
-
-def perm_sign(p) -> int:
-    sign = 1
-    p = tuple(p)
-    for a in range(len(p)):
-        for b in range(a + 1, len(p)):
-            if p[a] > p[b]:
-                sign = -sign
-    return sign
 
 
 def _rank(p) -> int:

@@ -1,6 +1,7 @@
 """Gaudin eigenfunctions, ring quantization, duality, and the residual scans."""
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -17,7 +18,7 @@ from momgas import bethe
 from momgas.bethe import (
     MAX_PARTICLES_ENUMERATED, RESIDUAL_BLOCK_ROWS, BetheWavefunction, ConvergenceError,
     bethe_residuals, duality_check, eval_wavefunction,
-    gaudin_amplitudes, gaudin_residual_scan,
+    gaudin_residual_scan,
     gaudin_wavefunction, ground_state_quantum_numbers, ground_state_scan,
     parity_rule_eta, schrodinger_residual, solve_bethe, solve_lieb_liniger,
 )
@@ -27,21 +28,47 @@ from test_twobody import _mutant
 
 
 # ---------------------------------------------------------------------------
-# amplitudes
+# amplitudes: two N! tables, each keyed by the permutations P of range(N) in
+# one-line notation (P[j] is the index of the momentum in slot j)
+
+
+def _raw_amplitudes(momenta, lam):
+    # the Gaudin formula itself, A_P = sgn(P) prod_{l<j} (i lam (k_Pj - k_Pl) + 1),
+    # with sgn(P) = prod_{l<j} sgn(P_j - P_l) folded into the pair factors:
+    # each inverted pair's factor is negated
+    k = [float(v) for v in momenta]
+    table = {}
+    for p in itertools.permutations(range(len(k))):
+        a = 1 + 0j
+        for pl, pj in itertools.combinations(p, 2):
+            factor = 1j * lam * (k[pj] - k[pl]) + 1.0
+            a *= factor if pl < pj else -factor
+        table[p] = a
+    return table
+
+
+@functools.lru_cache(maxsize=4)
+def _ratio_table(pair_ratios):
+    # A_P / A_id = prod_{l<j} g[P_l][P_j] from a state's pair ratios
+    return {p: math.prod((pair_ratios[a][b] for a, b in itertools.combinations(p, 2)),
+                         start=1 + 0j)
+            for p in itertools.permutations(range(len(pair_ratios)))}
 
 
 def test_single_particle_amplitude_is_one():
-    assert gaudin_amplitudes([1.5], 2.0) == {(0,): 1.0 + 0j}
+    assert _ratio_table(gaudin_wavefunction([1.5], 2.0).pair_ratios) == {(0,): 1.0 + 0j}
 
 
 def test_two_particle_amplitudes_frozen():
-    amps = gaudin_amplitudes([0.0, 1.0], 1.0)
+    amps = _raw_amplitudes([0.0, 1.0], 1.0)
     assert amps[(0, 1)] == 1.0 + 1.0j
     assert amps[(1, 0)] == -1.0 + 1.0j
+    assert gaudin_wavefunction([0, 1], 1).pair_ratios[1][0] == 1j
 
 
 def test_free_limit_reduces_to_slater_signs():
-    amps = gaudin_amplitudes([0.4, 1.9, 2.6], 0.0)
+    # at lam = 0 every g below the diagonal is -1, so A_P / A_id = sgn(P)
+    amps = _ratio_table(gaudin_wavefunction([0.4, 1.9, 2.6], 0.0).pair_ratios)
     for p, a in amps.items():
         sign = 1
         for i in range(3):
@@ -53,11 +80,11 @@ def test_free_limit_reduces_to_slater_signs():
 
 def test_amplitudes_reject_degenerate_momenta():
     with pytest.raises(ValueError):
-        gaudin_amplitudes([1.0, 1.0], 0.5)
+        gaudin_wavefunction([1.0, 1.0], 0.5)
     with pytest.raises(ValueError):
-        gaudin_amplitudes([], 0.5)
+        gaudin_wavefunction([], 0.5)
     with pytest.raises(ValueError):
-        gaudin_amplitudes(list(range(MAX_PARTICLES_ENUMERATED + 1)), 0.5)
+        gaudin_wavefunction(list(range(MAX_PARTICLES_ENUMERATED + 1)), 0.5)
 
 
 @given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=999))
@@ -71,7 +98,7 @@ def test_adjacent_transposition_ratio(n, seed):
     if min(abs(a - b) for a, b in zip(k, k[1:])) < 1e-3:
         return
     lam = rng.uniform(0.1, 10.0)
-    amps = gaudin_amplitudes(k, lam)
+    amps = _ratio_table(gaudin_wavefunction(k, lam).pair_ratios)
     for p in itertools.permutations(range(n)):
         for i in range(n - 1):
             q = list(p)
@@ -88,7 +115,7 @@ def test_adjacent_transposition_ratio_is_the_yang_operator_on_fermions():
     # Y_{i+1}(u), at rational momenta so u enters yang_op exactly
     k = (Fraction(0), Fraction(3, 7), Fraction(1), Fraction(9, 4))
     lam = Fraction(5, 3)
-    amps = gaudin_amplitudes(k, float(lam))
+    amps = _ratio_table(gaudin_wavefunction(k, float(lam)).pair_ratios)
     for p in itertools.permutations(range(4)):
         for i in range(3):
             q = list(p)
@@ -100,12 +127,12 @@ def test_adjacent_transposition_ratio_is_the_yang_operator_on_fermions():
 
 
 def test_normalized_amplitudes_are_unimodular():
-    wf = gaudin_wavefunction([-2.1, 0.3, 1.7], 7.5)
-    for a in wf.amplitudes.values():
+    amps = _ratio_table(gaudin_wavefunction([-2.1, 0.3, 1.7], 7.5).pair_ratios)
+    for a in amps.values():
         assert abs(abs(a) - 1.0) < 1e-14
-    assert wf.amplitudes[(0, 1, 2)] == 1.0 + 0j
-    raw = gaudin_amplitudes([-2.1, 0.3, 1.7], 7.5)
-    ratios = {p: raw[p] / wf.amplitudes[p] for p in wf.amplitudes}
+    assert amps[(0, 1, 2)] == 1.0 + 0j
+    raw = _raw_amplitudes([-2.1, 0.3, 1.7], 7.5)
+    ratios = {p: raw[p] / amps[p] for p in amps}
     first = ratios[(0, 1, 2)]
     assert all(abs(r - first) < 1e-9 * abs(first) for r in ratios.values())
 
@@ -171,7 +198,7 @@ def test_schrodinger_residual_names_a_non_finite_coordinate():
         schrodinger_residual(wf, [0.1, math.inf, 0.9])
 
 
-@pytest.mark.parametrize("build", [gaudin_wavefunction, gaudin_amplitudes])
+@pytest.mark.parametrize("build", [gaudin_wavefunction])
 def test_gaudin_states_name_a_non_finite_momentum(build):
     # a nan momentum makes nan pair factors, which is not lam's fault
     with pytest.raises(ValueError, match="momentum 0 is not finite: nan"):
@@ -215,7 +242,7 @@ def test_gaudin_wavefunction_is_finite_at_lam_1e200():
     # the raw products overflow float64 at lam = 1e200, the pair ratios do
     # not: g[a][b] -> 1 below the diagonal, the hard-core limit A_P = 1
     k, x = [0.0, 1.0, 2.5], [0.3, 1.1, 2.9]
-    assert not all(cmath.isfinite(a) for a in gaudin_amplitudes(k, 1e200).values())
+    assert not all(cmath.isfinite(a) for a in _raw_amplitudes(k, 1e200).values())
     wf = gaudin_wavefunction(k, 1e200)
     hard_core = BetheWavefunction(momenta=k, pair_ratios=[[1] * 3] * 3)
     assert all(abs(v - 1.0) <= 1e-199 for row in wf.pair_ratios for v in row)
@@ -394,8 +421,9 @@ def test_probe_matches_the_pointwise_formula_at_60_digits(wf, x):
 def _terms(wf, y):
     # the N! plane waves A_P exp(i k_P . y) of the wedge formula at ordered
     # y, and the momenta of each slot, one row per permutation
-    perms = list(itertools.permutations(range(wf.n)))
-    amps = np.array([wf.amplitudes[p] for p in perms])
+    table = _ratio_table(wf.pair_ratios)
+    perms = list(table)
+    amps = np.array(list(table.values()))
     kmat = np.asarray(wf.momenta)[np.array(perms)]
     return amps * np.exp(1j * (kmat @ y)), kmat
 
@@ -425,7 +453,7 @@ def _table_probe(wf, x):
                   for z in (mp.exp(mp.mpc(0, km * ys)) for ys in y)] for km in k]
         w_re = [[0] * n for _ in range(n)]
         w_im = [[0] * n for _ in range(n)]
-        for p, a in wf.amplitudes.items():
+        for p, a in _ratio_table(wf.pair_ratios).items():
             re, im = int(math.ldexp(a.real, frac)), int(math.ldexp(a.imag, frac))
             for s, m in enumerate(p):
                 pr, pi = phase[m][s]
@@ -497,22 +525,11 @@ def test_pair_ratios_match_the_raw_amplitudes_over_the_identity():
         for _ in range(4 if n <= 6 else 1):
             k = [rng.uniform(-3.0, 3.0) for _ in range(n)]
             lam = rng.uniform(0.1, 10.0)
-            raw = gaudin_amplitudes(k, lam)
+            raw = _raw_amplitudes(k, lam)
             a_id = raw[tuple(range(n))]
             bound = (17 * n * (n - 1) / 2 + 4) * np.finfo(float).eps / 2
-            amps = gaudin_wavefunction(k, lam).amplitudes
+            amps = _ratio_table(gaudin_wavefunction(k, lam).pair_ratios)
             assert max(abs(amps[p] - a / a_id) for p, a in raw.items()) <= bound
-
-
-def test_checks_leave_the_amplitude_table_unbuilt():
-    # the contact check and the probe run the recursion; the N! table is a
-    # view built on first use
-    wf = gaudin_wavefunction([-1.3, 0.2, 1.9, -2.4], 0.8)
-    bc_residual(wf, 0.8, (1, 2), [0.3, 1.7, 1.7, 3.2])
-    eval_wavefunction(wf, [0.3, 1.1, 1.7, 3.2])
-    schrodinger_residual(wf, [0.3, 1.1, 1.7, 3.2])
-    assert "amplitudes" not in vars(wf)
-    assert len(wf.amplitudes) == 24 and "amplitudes" in vars(wf)
 
 
 def test_probe_forms_the_terms_without_mpmath_products(monkeypatch):
@@ -641,7 +658,11 @@ def test_solved_states_have_small_multiplicative_residuals():
 
 def _loop_bethe_residuals(state):
     # the product-form residual as a plain double loop over j and l: the
-    # reference that the blocked bethe_residuals must equal bit for bit
+    # reference that the blocked bethe_residuals must equal bit for bit.
+    # Row j's factors come from one array division, which rounds as numpy's
+    # scalar division does, and are multiplied from left to right in Python
+    # complex, which rounds as numpy's scalar product does, not by the array
+    # product that bethe_residuals itself uses
     k = np.asarray(state.momenta)
     n = len(k)
     L = state.box_length
@@ -654,11 +675,11 @@ def _loop_bethe_residuals(state):
         prefactor = phase
     out = np.empty(n)
     for j in range(n):
+        d = k[j] - k
         rhs = prefactor + 0j
-        for l in range(n):
+        for l, factor in enumerate(((d + 1j * c) / (d - 1j * c)).tolist()):
             if l != j:
-                d = k[j] - k[l]
-                rhs *= (d + 1j * c) / (d - 1j * c)
+                rhs *= factor
         lhs = np.exp(1j * k[j] * L)
         out[j] = abs(lhs / rhs - 1.0)
     return out
@@ -852,11 +873,18 @@ def test_solver_rejects_bad_input():
     (lambda: solve_lieb_liniger(4, -math.inf, 1.0), "box length must be finite, got L = -inf"),
     (lambda: solve_lieb_liniger(4, 10.0, math.nan), "c must be finite, got c = nan"),
     (lambda: solve_lieb_liniger(4, 10.0, math.inf), "c must be finite, got c = inf"),
-    pytest.param(lambda: gaudin_amplitudes([0.1, 0.5], math.nan),
-                 "lam must be finite, got lam = nan", id="gaudin_amplitudes-lam-nan"),
+    # a box whose free energy N ((2 pi max|I_j| + |delta|) / L)^2 overflows
+    pytest.param(lambda: solve_bethe(3, 1e-300, 1.0),
+                 "L = 1e-300 is too small for N = 3", id="bethe-box-1e-300"),
+    pytest.param(lambda: solve_bethe(3, 1e-320, 1.0),
+                 "L = 1e-320 is too small for N = 3", id="bethe-box-1e-320"),
+    pytest.param(lambda: solve_lieb_liniger(3, 1e-300, 1.0),
+                 "L = 1e-300 is too small for N = 3", id="lieb_liniger-box-1e-300"),
+    pytest.param(lambda: ground_state_scan(1e300, 1.0, [4, 8]),
+                 "L = 4e-300 is too small for N = 4", id="gs_scan-rho-1e300"),
 ])
 def test_solvers_name_a_non_finite_box_or_coupling(call, name):
-    # not a Newton failure, and never a state with free roots
+    # not a Newton failure, and never a state with free roots or inf energy
     with pytest.raises(ValueError, match=name):
         call()
 

@@ -370,15 +370,33 @@ def test_exit_2_names_eps_and_energy_when_omega_is_subnormal(capsys):
     (["reg-bound-state", "--lambda=-1e-300"], "float division by zero"),
     (["coupling-maps", "--g", "1", "--beta", "1", "--c", "1e-300"], "float division by zero"),
     (["vertex-scan", "--mc-values", "1e200,2e200"], "Numerical result out of range"),
+    (["coleman", "--g", "1e-320"], "(results.product = inf)"),
+    (["two-body", "--parity", "odd", "--k", "1e300", "--lambda", "1"],
+     "(results.energy = inf)"),
 ])
 def test_exit_1_names_a_flag_that_leaves_the_float64_range(fresh_python, argv, cause):
-    # r^2 or c^2 underflows to zero, or the vertex overflows: no traceback
+    # r^2 or c^2 underflows to zero, the vertex overflows, or a result is
+    # not finite (not JSON): no traceback, and no record
     proc = fresh_python("import sys\nfrom momgas.cli import main\nsys.exit(main(sys.argv[1:]))",
                         *argv)
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {argv[0]}: float64 range exceeded (")
     assert cause in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["bethe-solve", "--n", "3", "--box", "1e-320", "--lambda", "1"], "L = 1e-320"),
+    (["bethe-solve", "--n", "3", "--box", "1e-300", "--lambda", "1"], "L = 1e-300"),
+    (["gs-scan", "--rho", "1e300", "--lambda", "1", "--sizes", "4,8"], "L = 4e-300"),
+])
+def test_exit_1_names_a_box_too_small_for_float64(capsys, argv, text):
+    # not a Newton stall (exit 2), and never a record with an infinite energy
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: box length {text} is too small for N = ")
+    assert captured.out == ""
 
 
 def test_exit_3_when_an_exact_check_fails(capsys, monkeypatch):

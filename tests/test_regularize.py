@@ -372,6 +372,19 @@ def test_the_gaudin_checks_leave_numpy_unloaded(fresh_python):
     assert _loaded(fresh_python(code)) == "False True"
 
 
+def test_a_cold_gaudin_check_leaves_the_exact_algebra_unloaded(fresh_python):
+    # bethe takes perm_sign from twobody, so neither yang_baxter nor the
+    # fractions and decimal it brings is loaded
+    from test_cli import SMOKE
+    code = ("import contextlib, io, sys\n"
+            "from momgas.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, [m for m in ('momgas.yang_baxter', 'fractions', 'decimal')\n"
+            "             if m in sys.modules])\n")
+    assert _loaded(fresh_python(code, "gaudin-check", *SMOKE["gaudin-check"])) == "0 []"
+
+
 def test_every_subcommand_has_a_pinned_footprint():
     from momgas.cli import COMMANDS
     from test_cli import SMOKE
