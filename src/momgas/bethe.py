@@ -565,8 +565,20 @@ def solve_bethe(n: int, L: float, lam: float, quantum_numbers=None,
         )
     eta = parity_rule_eta(n) if eta is None else _validate_eta(eta)
     delta = eta - parity_rule_eta(n)
-    theta = lambda u: 2.0 * np.arctan(lam * u)
-    theta_prime = lambda u: 2.0 * lam / (1.0 + (lam * u) ** 2)
+
+    # At a large lam, lam * u and (lam u)^2 overflow to inf without harm:
+    # arctan(+-inf) = +-pi/2 is what arctan rounds to long before float64
+    # ends, and 2 lam / inf = 0 is the limit of theta' as |lam u| -> inf.
+    # theta' only steers the Newton step; the roots are the zeros of the log
+    # form, which theta alone fixes
+    def theta(u):
+        with np.errstate(over="ignore"):
+            return 2.0 * np.arctan(lam * u)
+
+    def theta_prime(u):
+        with np.errstate(over="ignore"):
+            return 2.0 * lam / (1.0 + (lam * u) ** 2)
+
     return _solve_ring(n, L, eta, delta, quantum_numbers, theta, theta_prime,
                        tol, max_iter, "fermion", lam)
 
@@ -585,8 +597,18 @@ def solve_lieb_liniger(n: int, L: float, c: float, eta: float = 0.0,
     if c <= 0:
         raise ValueError("c must be positive (repulsive delta gas)")
     eta = _validate_eta(eta)
-    theta = lambda u: 2.0 * np.arctan(u / c)
-    theta_prime = lambda u: 2.0 * c / (c * c + u * u)
+
+    # At a small c, u / c overflows to +-inf only where arctan rounds to
+    # +-pi/2, and c * c underflows to 0, so the diagonal u = 0 reads 2c/0 =
+    # inf; `_newton_step` sets the diagonal to 0 whatever it reads
+    def theta(u):
+        with np.errstate(over="ignore"):
+            return 2.0 * np.arctan(u / c)
+
+    def theta_prime(u):
+        with np.errstate(divide="ignore"):
+            return 2.0 * c / (c * c + u * u)
+
     return _solve_ring(n, L, eta, eta, quantum_numbers, theta, theta_prime,
                        tol, max_iter, "boson", c)
 

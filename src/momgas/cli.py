@@ -8,7 +8,10 @@ parameter set including the seed, so any output file is reproducible from
 its own header.  Output goes to stdout, to --output PATH, or to the path in
 the MOMGAS_OUTPUT environment variable, written atomically (temp file plus
 rename) so readers never observe a partial record.  Each subcommand is one
-entry of COMMANDS: its help text, flags, handler and CSV columns.
+entry of COMMANDS: its help text, flags, handler and CSV columns.  `main`
+builds the record once, in one walk over the parameters and the handler's
+results (`_jsonable`), inside the error boundary, so a result that is not
+finite exits 1 before anything is written.
 
 Exit codes separate misuse from falsification:
   0  success
@@ -91,50 +94,23 @@ def _eta_value(text: str | None) -> float | None:
     return None if text is None else math.pi if text == "pi" else 0.0
 
 
-def _jsonable(value):
-    # no Fraction exists unless fractions is loaded, so do not load it to ask
+def _jsonable(value, field="cell"):
+    # the one walk from a result to its record: Fractions become strings and
+    # complex numbers {"re", "im"} pairs, and a float that left float64 is an
+    # ArithmeticError naming its field, since NaN and Infinity are not JSON.
+    # No Fraction exists unless fractions is loaded, so do not load it to ask
     fractions = sys.modules.get("fractions")
     if fractions is not None and isinstance(value, fractions.Fraction):
         return str(value)
     if isinstance(value, complex):
-        return {"re": float(value.real), "im": float(value.imag)}
+        value = {"re": float(value.real), "im": float(value.imag)}
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ArithmeticError(f"{field} = {value!r}")
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_jsonable(v, f"{field}[{i}]") for i, v in enumerate(value)]
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: _jsonable(v, f"{field}.{k}") for k, v in value.items()}
     return value
-
-
-def _check_finite_results(results: dict) -> None:
-    # NaN and Infinity are not JSON: a result that left float64 is an
-    # ArithmeticError that names its field, as a flag's own overflow is
-    def walk(value, field):
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ArithmeticError(f"{field} = {value!r}")
-        if isinstance(value, dict):
-            for key, item in value.items():
-                walk(item, f"{field}.{key}")
-        elif isinstance(value, list):
-            for index, item in enumerate(value):
-                walk(item, f"{field}[{index}]")
-    walk(_jsonable(results), "results")
-
-
-def _params_of(args: argparse.Namespace) -> dict:
-    # full reproducibility block: everything except the output path
-    skip = {"command", "output"}
-    return {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k not in skip}
-
-
-def _render_json(command: str, args: argparse.Namespace, results: dict) -> str:
-    record = {
-        "schema": f"momgas.{command}/1",
-        "version": __version__,
-        "command": command,
-        "params": _params_of(args),
-        "results": _jsonable(results),
-    }
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
 def _render_csv(columns: str, rows: list[dict]) -> str:
@@ -526,21 +502,25 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         command = COMMANDS[args.command]
         results, rows, code = command.handler(args)
-        _check_finite_results(results)
+        # the full reproducibility block: every flag except the output path
+        params = {k: v for k, v in vars(args).items() if k not in ("command", "output")}
+        record = {"schema": f"momgas.{args.command}/1", "version": __version__,
+                  "command": args.command, "params": _jsonable(params, "params"),
+                  "results": _jsonable(results, "results")}
+        if args.format == "json":
+            text = json.dumps(record, sort_keys=True, indent=2) + "\n"
+        else:
+            text = _render_csv(command.columns, [{**record["params"], **record["results"]}]
+                               if rows is None else rows)
     except (UsageError, ValueError, TypeError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConvergenceError) else 1
     except ArithmeticError as exc:
         # finite flags whose arithmetic leaves float64: a square underflowing
-        # to zero, an exp or a power overflowing, a result that is not finite
+        # to zero, an exp or a power overflowing, a result or CSV cell that is
+        # not finite
         print(f"error: {args.command}: float64 range exceeded ({exc})", file=sys.stderr)
         return 1
-    if args.format == "csv":
-        if rows is None:
-            rows = [{**_params_of(args), **results}]
-        text = _render_csv(command.columns, rows)
-    else:
-        text = _render_json(args.command, args, results)
     _write_output(text, args.output or os.environ.get("MOMGAS_OUTPUT"))
     return code
 

@@ -41,7 +41,8 @@ __all__ = [
 
 
 def _check_mass_speed(m: float, c: float) -> None:
-    if not (0 < m < math.inf and 0 < c < math.inf):
+    _check_finite(m=m, c=c)
+    if not (0 < m and 0 < c):
         raise ValueError("mass and speed of light must be positive")
 
 
@@ -97,8 +98,8 @@ def _mc_sweep(mc_values, row, fitted: str) -> tuple[list[dict], float]:
     # one row {"mc": mc, **row(mc)} per mc, swept through c at m = 1 (the
     # limit the expansion is taken in), and the log-log slope of the rows'
     # `fitted` field against mc
-    mc_values = [float(v) for v in mc_values]
-    if not all(0 < v < math.inf for v in mc_values):
+    mc_values = _require_finite(mc_values, "mc value")
+    if not all(0 < v for v in mc_values):
         raise ValueError("mc values must be positive")
     rows = [{"mc": mc, **row(mc)} for mc in mc_values]
     return rows, loglog_slope(mc_values, [r[fitted] for r in rows])
@@ -216,10 +217,11 @@ def coupling_maps(*, g: float, beta: float, m: float, c: float,
 
 def _lam_times_cb(g: float, c: float, denominator: float) -> float:
     # lam * c_B at beta^2 = 4 pi^2/denominator, once g and c are checked
-    if not 0 < g < math.inf:
+    _check_finite(g=g, c=c)
+    if not 0 < g:
         raise ValueError("the duality argument applies to g > 0 "
                          "(attractive contact coupling lam < 0)")
-    if not 0 < c < math.inf:
+    if not 0 < c:
         raise ValueError("speed of light must be positive")
     lam = -g / c ** 2
     beta_sq = 4.0 * math.pi ** 2 / denominator

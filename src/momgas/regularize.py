@@ -41,12 +41,12 @@ __all__ = [
 
 
 def _validate(lam: float, e_abs: float, epsilon: float) -> None:
-    _check_finite(lam=lam)
+    _check_finite(lam=lam, e_abs=e_abs, epsilon=epsilon)
     if lam == 0:
         raise ValueError("lam must be nonzero")
-    if not 0 < e_abs < math.inf:
+    if not 0 < e_abs:
         raise ValueError("|E| must be positive")
-    if not 0 < epsilon < math.inf:
+    if not 0 < epsilon:
         raise ValueError(
             "epsilon must be positive: at epsilon = 0 the integral is linearly "
             "divergent, which is the point of the regulator"
@@ -68,10 +68,10 @@ def constant_piece_cesaro(lam: float, epsilon: float, cutoff: float) -> float:
     L -> inf limit pointwise; averaging over L gives
     (4 lam/pi) (1 - cos(eps L)) / (eps^2 L), which vanishes like 1/L.
     """
-    _check_finite(lam=lam)
-    if not 0 < epsilon < math.inf:
+    _check_finite(lam=lam, epsilon=epsilon, cutoff=cutoff)
+    if not 0 < epsilon:
         raise ValueError("epsilon must be positive")
-    if not 0 < cutoff < math.inf:
+    if not 0 < cutoff:
         raise ValueError("cutoff must be positive")
     return 4.0 * lam / math.pi * (1.0 - math.cos(epsilon * cutoff)) / (epsilon ** 2 * cutoff)
 
@@ -197,7 +197,8 @@ def richardson(values, step_ratio: float = 2.0) -> float:
     vals = _require_finite(values, "value")
     if len(vals) < 2:
         raise ValueError("need at least two values to extrapolate")
-    if not 1 < step_ratio < math.inf:
+    _check_finite(step_ratio=step_ratio)
+    if not 1 < step_ratio:
         raise ValueError("step ratio must exceed 1")
     table = list(vals)
     n = len(table)
@@ -212,10 +213,10 @@ def richardson(values, step_ratio: float = 2.0) -> float:
 def node_ratio(epsilons) -> float:
     """Common ratio of geometric epsilon nodes, largest first: the step
     ratio `richardson` extrapolates the nodes' integrals with."""
-    eps = [float(e) for e in epsilons]
+    eps = _require_finite(epsilons, "epsilon node")
     if len(eps) < 2:
         raise ValueError("need at least two epsilon nodes")
-    if not all(0 < e < math.inf for e in eps):
+    if not all(0 < e for e in eps):
         raise ValueError("epsilon nodes must be positive")
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon nodes must be strictly decreasing")

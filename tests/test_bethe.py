@@ -7,6 +7,7 @@ import math
 import random
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -844,6 +845,69 @@ def test_free_limit_spacing():
     state = solve_bethe(3, 10.0, 1e-7)
     free = [2.0 * math.pi * I / 10.0 for I in (-1.0, 0.0, 1.0)]
     assert np.max(np.abs(np.asarray(state.momenta) - free)) < 1e-5
+
+
+_WEAK_LAMS = (0.01, 0.005, 0.0025)
+
+
+def _weak_coupling_roots(qn, L, delta, lam):
+    # theta(u) = 2 lam u + O(lam^3) makes the log form linear,
+    # k_j (L + 2 lam N) = 2 pi I_j + delta + 2 lam P, and summing the log
+    # form over j (theta is odd) gives P = (2 pi sum I + N delta) / L exactly
+    I = np.asarray(qn, dtype=float)
+    n = len(I)
+    total = (2.0 * math.pi * I.sum() + n * delta) / L
+    return (2.0 * math.pi * I + delta + 2.0 * lam * total) / (L + 2.0 * lam * n)
+
+
+def _is_third_order(roots_at, qn, L, delta):
+    # the error of the linear form falls by 2^3 per halving of lam (measured
+    # 2^2.94, then 2^2.97, at every N, state and eta below)
+    errors = [np.max(np.abs(roots_at(lam) - _weak_coupling_roots(qn, L, delta, lam)))
+              for lam in _WEAK_LAMS]
+    return all(abs(math.log2(a / b) - 3.0) <= 0.15 for a, b in zip(errors, errors[1:]))
+
+
+@pytest.mark.parametrize("n", [4, 64, 1024])
+def test_weak_coupling_roots_follow_the_linearised_log_form(n):
+    # an oracle that shares no code with theta, Newton or the product form
+    ground = list(ground_state_quantum_numbers(n))
+    excited = [ground[0] - 1.0, *ground[1:-1], ground[-1] + 3.0]
+    for qn, eta in itertools.product((ground, excited), (0.0, math.pi)):
+        delta = eta - parity_rule_eta(n)
+        roots = lambda lam: np.asarray(solve_bethe(n, float(n), lam, quantum_numbers=qn,
+                                                   eta=eta, tol=1e-11).momenta)
+        assert _is_third_order(roots, qn, float(n), delta), (n, qn == ground, eta)
+        # the other eta's branch offset fails the check
+        other = (math.pi - eta) - parity_rule_eta(n)
+        assert not _is_third_order(roots, qn, float(n), other), (n, qn == ground, eta)
+        if n > 64:
+            continue
+        # and so do roots of theta scaled by 1 + 1e-3, from the dense reference
+        s = 1.0 + 1e-3
+        mutant = lambda lam: _dense_newton_reference(
+            np.asarray(qn, dtype=float), float(n), delta,
+            lambda u: s * 2.0 * np.arctan(lam * u),
+            lambda u: s * 2.0 * lam / (1.0 + (lam * u) ** 2), 1e-11, 200)[0]
+        assert not _is_third_order(mutant, qn, float(n), delta), (n, qn == ground, eta)
+
+
+@pytest.mark.parametrize("solve", [
+    pytest.param(lambda: solve_bethe(3, 10.0, 1e200), id="bethe-lam-1e200"),
+    pytest.param(lambda: solve_bethe(3, 10.0, 1e300), id="bethe-lam-1e300"),
+    pytest.param(lambda: solve_lieb_liniger(3, 10.0, 1e-300), id="lieb_liniger-c-1e-300"),
+    # the free initial guess 2 pi I / L makes lam * u and u / c overflow
+    pytest.param(lambda: solve_bethe(3, 1e-8, 1e300), id="bethe-lam-1e300-box-1e-8"),
+    pytest.param(lambda: solve_lieb_liniger(3, 1e-8, 1e-300), id="lieb_liniger-c-1e-300-box-1e-8"),
+])
+def test_hard_core_couplings_solve_without_a_float_warning(solve):
+    # (lam u)^2 overflows and c^2 underflows on the Jacobian's diagonal:
+    # theta and theta' take the limit values, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = solve()
+    assert np.all(np.diff(state.momenta) > 0)
+    assert bethe_residuals(state).max() <= 1e-12
 
 
 def test_solver_rejects_bad_input():

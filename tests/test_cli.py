@@ -386,6 +386,45 @@ def test_exit_1_names_a_flag_that_leaves_the_float64_range(fresh_python, argv, c
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("results, field", [
+    ({"rows": [{"energy": 1.0}, {"energy": 2.0}, {"energy": -math.inf}]},
+     "results.rows[2].energy = -inf"),
+    ({"boundary_residual": {"value_jump_defect": complex(0.0, math.nan)}},
+     "results.boundary_residual.value_jump_defect.im = nan"),
+    ({"pair": (1.0, math.inf)}, "results.pair[1] = inf"),
+])
+def test_exit_1_names_the_path_of_a_non_finite_result(capsys, monkeypatch, results, field):
+    # no argv reaches these; a stand-in handler pins the field paths
+    command = COMMANDS["coleman"]._replace(handler=lambda args: (results, None, 0))
+    monkeypatch.setitem(COMMANDS, "coleman", command)
+    for fmt in ("json", "csv"):
+        assert main(["coleman", "--g", "1", "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: coleman: float64 range exceeded ({field})\n"
+        assert captured.out == ""
+
+
+def test_exit_1_on_a_non_finite_csv_cell(capsys, monkeypatch):
+    # a handler's own CSV rows are rendered inside the error boundary too
+    rows = [{"g": 1.0, "product": math.inf}]
+    command = COMMANDS["coleman"]._replace(handler=lambda args: ({"product": 1.0}, rows, 0))
+    monkeypatch.setitem(COMMANDS, "coleman", command)
+    assert main(["coleman", "--g", "1", "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: coleman: float64 range exceeded (cell = inf)\n"
+    assert captured.out == ""
+
+
+def test_a_hard_core_coupling_writes_nothing_to_stderr(fresh_python):
+    # (lam u)^2 overflows in theta' at lam = 1e200; a fresh interpreter
+    # prints any RuntimeWarning
+    proc = fresh_python("import sys\nfrom momgas.cli import main\nsys.exit(main(sys.argv[1:]))",
+                        "bethe-solve", "--n", "3", "--box", "10", "--lambda", "1e200")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["results"]["max_residual"] <= 1e-12
+
+
 @pytest.mark.parametrize("argv, text", [
     (["bethe-solve", "--n", "3", "--box", "1e-320", "--lambda", "1"], "L = 1e-320"),
     (["bethe-solve", "--n", "3", "--box", "1e-300", "--lambda", "1"], "L = 1e-300"),

@@ -294,14 +294,15 @@ NAN, INF = math.nan, math.inf
 
 
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda: dispersion(1.0, NAN, 1.0), "mass and speed of light must be positive",
+    pytest.param(lambda: dispersion(1.0, NAN, 1.0), "m must be finite, got m = nan",
                  id="dispersion-m-nan"),
     pytest.param(lambda: dispersion(INF, 1.0, 1.0), "k must be finite, got k = inf",
                  id="dispersion-k-inf"),
-    pytest.param(lambda: bogoliubov(1.0, INF, 1.0), "mass and speed of light must be positive",
+    pytest.param(lambda: bogoliubov(1.0, INF, 1.0), "m must be finite, got m = inf",
                  id="bogoliubov-m-inf"),
-    pytest.param(lambda: coleman_check(NAN, 1.0), "applies to g > 0", id="coleman-g-nan"),
-    pytest.param(lambda: coleman_full_product(1.0, INF), "speed of light must be positive",
+    pytest.param(lambda: coleman_check(NAN, 1.0), "g must be finite, got g = nan",
+                 id="coleman-g-nan"),
+    pytest.param(lambda: coleman_full_product(1.0, INF), "c must be finite, got c = inf",
                  id="coleman_full-c-inf"),
     pytest.param(lambda: coupling_maps(g=NAN, beta=1.0, m=1.0, c=1.0),
                  "g must be finite, got g = nan", id="coupling_maps-g-nan"),
@@ -313,15 +314,28 @@ NAN, INF = math.nan, math.inf
                  id="dispersion_scan-k-nan"),
     # a NaN must not reach LAPACK, which prints a DLASCL error on stderr and
     # raises LinAlgError "SVD did not converge"
-    pytest.param(lambda: dispersion_scan(1.0, [10.0, NAN]), "mc values must be positive",
+    pytest.param(lambda: dispersion_scan(1.0, [10.0, NAN]), "mc value 1 is not finite: nan",
                  id="dispersion_scan-mc-nan"),
     pytest.param(lambda: vertex_expansion_scan([1.0, 2.0, 3.0, 5.0], [10.0, INF]),
-                 "mc values must be positive", id="vertex_scan-mc-inf"),
+                 "mc value 1 is not finite: inf", id="vertex_scan-mc-inf"),
     pytest.param(lambda: vertex_leading(NAN, 1.0, 2.0, 3.0, 1.0, 1.0),
                  "k1 must be finite, got k1 = nan", id="vertex_leading-k1-nan"),
     pytest.param(lambda: loglog_slope([1.0, 2.0], [1.0, NAN]), "y value 1 is not finite: nan",
                  id="loglog_slope-y-nan"),
 ])
 def test_a_non_finite_input_is_named(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: coleman_check(0.0, 1.0), "applies to g > 0", id="coleman-g-0"),
+    pytest.param(lambda: coleman_full_product(1.0, -1.0), "speed of light must be positive",
+                 id="coleman_full-c-negative"),
+    pytest.param(lambda: dispersion_scan(1.0, [10.0, 0.0]), "mc values must be positive",
+                 id="dispersion_scan-mc-0"),
+])
+def test_a_non_positive_input_keeps_its_sign_message(call, match):
+    # the finiteness check runs first; a finite value <= 0 is still blamed on its sign
     with pytest.raises(ValueError, match=match):
         call()

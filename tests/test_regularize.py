@@ -213,21 +213,25 @@ NAN, INF = math.nan, math.inf
 
 
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda: regularized_integral(1.0, NAN, 0.1), r"\|E\| must be positive",
+    pytest.param(lambda: regularized_integral(1.0, NAN, 0.1),
+                 "e_abs must be finite, got e_abs = nan",
                  id="integral-e_abs-nan"),
     pytest.param(lambda: regularized_integral(NAN, 1.0, 0.1), "lam must be finite, got lam = nan",
                  id="integral-lam-nan"),
-    pytest.param(lambda: regularized_integral(-1.0, 1.0, INF), "epsilon must be positive",
+    pytest.param(lambda: regularized_integral(-1.0, 1.0, INF),
+                 "epsilon must be finite, got epsilon = inf",
                  id="integral-epsilon-inf"),
-    pytest.param(lambda: closed_form(1.0, INF, 0.1), r"\|E\| must be positive",
+    pytest.param(lambda: closed_form(1.0, INF, 0.1), "e_abs must be finite, got e_abs = inf",
                  id="closed_form-e_abs-inf"),
-    pytest.param(lambda: constant_piece_cesaro(1.0, 0.1, NAN), "cutoff must be positive",
+    pytest.param(lambda: constant_piece_cesaro(1.0, 0.1, NAN),
+                 "cutoff must be finite, got cutoff = nan",
                  id="cesaro-cutoff-nan"),
     pytest.param(lambda: constant_piece_cesaro(NAN, 0.1, 1.0), "lam must be finite, got lam = nan",
                  id="cesaro-lam-nan"),
-    pytest.param(lambda: node_ratio([0.2, NAN]), "epsilon nodes must be positive",
+    pytest.param(lambda: node_ratio([0.2, NAN]), "epsilon node 1 is not finite: nan",
                  id="node_ratio-nan"),
-    pytest.param(lambda: richardson([1.0, 2.0], step_ratio=NAN), "step ratio must exceed 1",
+    pytest.param(lambda: richardson([1.0, 2.0], step_ratio=NAN),
+                 "step_ratio must be finite, got step_ratio = nan",
                  id="richardson-step_ratio-nan"),
     pytest.param(lambda: richardson([1.0, NAN]), "value 1 is not finite: nan",
                  id="richardson-values-nan"),
@@ -235,6 +239,24 @@ NAN, INF = math.nan, math.inf
                  id="bound_state_energy-lam-minus-inf"),
 ])
 def test_a_non_finite_input_is_named(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: regularized_integral(1.0, 0.0, 0.1), r"\|E\| must be positive",
+                 id="integral-e_abs-0"),
+    pytest.param(lambda: regularized_integral(-1.0, 1.0, 0.0),
+                 "at epsilon = 0 the integral is linearly divergent", id="integral-epsilon-0"),
+    pytest.param(lambda: constant_piece_cesaro(1.0, 0.1, 0.0), "cutoff must be positive",
+                 id="cesaro-cutoff-0"),
+    pytest.param(lambda: node_ratio([0.2, -0.1]), "epsilon nodes must be positive",
+                 id="node_ratio-negative"),
+    pytest.param(lambda: richardson([1.0, 2.0], step_ratio=1.0), "step ratio must exceed 1",
+                 id="richardson-step_ratio-1"),
+])
+def test_a_non_positive_input_keeps_its_sign_message(call, match):
+    # the finiteness check runs first; a finite value <= 0 is still blamed on its sign
     with pytest.raises(ValueError, match=match):
         call()
 

@@ -83,6 +83,8 @@ def test_one_convergence_error_class():
     assert type(stall.value) is type(quadrature.value) is momgas.ConvergenceError
 
 
+# the N = 256 solve exits 2 only because the default tol 1e-13 stalls there;
+# ROADMAP item 17's stopping rule will make it exit 0 and must move it
 @pytest.mark.parametrize("argv", [["bethe-solve", "--n", "256", "--box", "256", "--lambda", "1"],
                                   ["reg-integral", "--lambda", "-1", "--e-abs", "0.25",
                                    "--epsilons", "4e-100,2e-100,1e-100"]])
@@ -90,3 +92,12 @@ def test_a_cold_cli_still_exits_2_on_non_convergence(fresh_python, argv):
     proc = fresh_python("import sys; from momgas.cli import main; sys.exit(main())", *argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_a_cold_cli_exits_2_when_newton_runs_out_of_steps(fresh_python):
+    # a witness for exit 2 that rests on no defect: one Newton step is too few
+    # under any stopping rule
+    argv = ["bethe-solve", "--n", "4", "--box", "10", "--lambda", "1", "--max-iter", "1"]
+    proc = fresh_python("import sys; from momgas.cli import main; sys.exit(main())", *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: Newton iteration did not reach residual 1e-13 in 1 steps\n"
