@@ -69,9 +69,10 @@ particles each step is a dense LU solve, so small-N roots (the golden
 records among them) stay bit for bit; above it Jacobi-preconditioned
 conjugate gradients solve the step in a few matrix-vector products instead
 of O(N^3) work.  The residual and the Jacobian are built in row blocks, so
-on that path the Jacobian is the only N x N array.  Each model codes its
-own theta, so `duality_check` compares two independent codings of the same
-equation.
+on that path the Jacobian is the only N x N array.  The models differ only
+in theta and theta', each coded on its own, so `duality_check` compares two
+independent codings of the same equation; `_log_form` and `_newton_step`
+evaluate both under one float-range policy (the comment above `_log_form`).
 
 Schroedinger probe.  `schrodinger_residual` takes a wavefunction, as
 `bc_residual` does, and runs the same recursion at 40 mpmath digits: N^2
@@ -390,15 +391,6 @@ def ground_state_quantum_numbers(n: int) -> tuple[float, ...]:
     return tuple(j - (n + 1) / 2.0 for j in range(1, n + 1))
 
 
-def _validate_quantum_numbers(qn) -> np.ndarray:
-    import numpy as np
-
-    I = np.asarray(_require_finite(qn, "quantum number"), dtype=float)
-    if not np.all(np.diff(I) > 0):
-        raise ValueError("quantum numbers must be strictly increasing")
-    return I
-
-
 def _row_blocks(n: int):
     # the row slices of an N x N pairwise array, RESIDUAL_BLOCK_ROWS at a time
     return (slice(start, start + RESIDUAL_BLOCK_ROWS)
@@ -430,6 +422,26 @@ def _jacobi_pcg(diag: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+# One float-range policy for both models, where theta and theta' are
+# evaluated.  At a hard-core coupling or in a tiny box lam u, u / c, (lam u)^2
+# and u^2 overflow to inf without harm: arctan(+-inf) = +-pi/2 is the correctly
+# rounded value long before float64 ends, and 2 lam / inf = 2 c / inf = 0 is
+# theta''s limit.  c^2 may underflow, so the diagonal u = 0 reads 2 c / 0 = inf;
+# `_newton_step` discards the diagonal.  theta' only steers the step: the roots
+# are the zeros of the log form, which theta alone fixes.
+
+
+def _log_form(k: np.ndarray, I: np.ndarray, L: float, delta: float, theta) -> np.ndarray:
+    # k_j L - 2 pi I_j - delta + sum_l theta(k_j - k_l), summed in row blocks
+    import numpy as np
+
+    out = k * L - 2.0 * math.pi * I - delta
+    with np.errstate(over="ignore"):
+        for rows in _row_blocks(len(k)):
+            out[rows] += theta(k[rows, None] - k[None, :]).sum(axis=1)
+    return out
+
+
 def _newton_step(k: np.ndarray, f: np.ndarray, L: float, theta_prime) -> np.ndarray:
     # full Newton step -J^{-1} f with J = diag(L + sum_l a_jl) - a,
     # a_jl = theta'(k_j - k_l) and a_jj = 0: a dense LU solve up to
@@ -441,14 +453,13 @@ def _newton_step(k: np.ndarray, f: np.ndarray, L: float, theta_prime) -> np.ndar
 
     n = len(k)
     a = np.empty((n, n))
-    for rows in _row_blocks(n):
-        a[rows] = theta_prime(k[rows, None] - k[None, :])
+    with np.errstate(over="ignore", divide="ignore"):
+        for rows in _row_blocks(n):
+            a[rows] = theta_prime(k[rows, None] - k[None, :])
     np.fill_diagonal(a, 0.0)
     diag = L + a.sum(axis=1)
     if n <= DIRECT_SOLVE_MAX:
-        jac = -a
-        jac[np.diag_indices(n)] += diag
-        return np.linalg.solve(jac, -f)
+        return np.linalg.solve(np.diag(diag) - a, -f)
     return _jacobi_pcg(diag, a, -f)
 
 
@@ -457,24 +468,20 @@ def _newton_log_form(I: np.ndarray, L: float, delta: float, theta, theta_prime,
     import numpy as np
 
     k = (2.0 * math.pi * I + delta) / L   # free-model initial guess
-
-    def residual(kv):
-        out = kv * L - 2.0 * math.pi * I - delta
-        for rows in _row_blocks(len(kv)):
-            out[rows] += theta(kv[rows, None] - kv[None, :]).sum(axis=1)
-        return out
-
-    f = residual(k)
-    for it in range(max_iter):
+    f = _log_form(k, I, L, delta, theta)
+    for it in range(max_iter + 1):
         norm0 = np.max(np.abs(f))
         if norm0 <= tol:
             return k
+        if it == max_iter:
+            raise ConvergenceError(
+                f"Newton iteration did not reach residual {tol:g} in {max_iter} steps")
         step = _newton_step(k, f, L, theta_prime)
         scale = 1.0
         # step halving until the residual norm decreases
         for _ in range(60):
             trial = k + scale * step
-            ftrial = residual(trial)
+            ftrial = _log_form(trial, I, L, delta, theta)
             if np.max(np.abs(ftrial)) < norm0:
                 break
             scale *= 0.5
@@ -489,11 +496,6 @@ def _newton_log_form(I: np.ndarray, L: float, delta: float, theta, theta_prime,
                 f"eps * max|k L| = {floor:.2g}"
             )
         k, f = trial, ftrial
-    if np.max(np.abs(f)) <= tol:
-        return k
-    raise ConvergenceError(
-        f"Newton iteration did not reach residual {tol:g} in {max_iter} steps"
-    )
 
 
 def _validate_eta(eta: float) -> float:
@@ -520,8 +522,10 @@ def _solve_ring(n: int, L: float, eta: float, delta: float, quantum_numbers,
         raise ValueError(f"need at least one Newton step, got max_iter = {max_iter}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got tol = {tol!r}")
-    I = _validate_quantum_numbers(
-        ground_state_quantum_numbers(n) if quantum_numbers is None else quantum_numbers)
+    I = np.asarray(_require_finite(ground_state_quantum_numbers(n) if quantum_numbers is None
+                                   else quantum_numbers, "quantum number"), dtype=float)
+    if not np.all(np.diff(I) > 0):
+        raise ValueError("quantum numbers must be strictly increasing")
     if len(I) != n:
         raise ValueError(f"need exactly N = {n} quantum numbers, got {len(I)}")
     # the free energy the roots start from, in scalar floats, which
@@ -565,20 +569,8 @@ def solve_bethe(n: int, L: float, lam: float, quantum_numbers=None,
         )
     eta = parity_rule_eta(n) if eta is None else _validate_eta(eta)
     delta = eta - parity_rule_eta(n)
-
-    # At a large lam, lam * u and (lam u)^2 overflow to inf without harm:
-    # arctan(+-inf) = +-pi/2 is what arctan rounds to long before float64
-    # ends, and 2 lam / inf = 0 is the limit of theta' as |lam u| -> inf.
-    # theta' only steers the Newton step; the roots are the zeros of the log
-    # form, which theta alone fixes
-    def theta(u):
-        with np.errstate(over="ignore"):
-            return 2.0 * np.arctan(lam * u)
-
-    def theta_prime(u):
-        with np.errstate(over="ignore"):
-            return 2.0 * lam / (1.0 + (lam * u) ** 2)
-
+    theta = lambda u: 2.0 * np.arctan(lam * u)
+    theta_prime = lambda u: 2.0 * lam / (1.0 + (lam * u) ** 2)
     return _solve_ring(n, L, eta, delta, quantum_numbers, theta, theta_prime,
                        tol, max_iter, "fermion", lam)
 
@@ -597,18 +589,8 @@ def solve_lieb_liniger(n: int, L: float, c: float, eta: float = 0.0,
     if c <= 0:
         raise ValueError("c must be positive (repulsive delta gas)")
     eta = _validate_eta(eta)
-
-    # At a small c, u / c overflows to +-inf only where arctan rounds to
-    # +-pi/2, and c * c underflows to 0, so the diagonal u = 0 reads 2c/0 =
-    # inf; `_newton_step` sets the diagonal to 0 whatever it reads
-    def theta(u):
-        with np.errstate(over="ignore"):
-            return 2.0 * np.arctan(u / c)
-
-    def theta_prime(u):
-        with np.errstate(divide="ignore"):
-            return 2.0 * c / (c * c + u * u)
-
+    theta = lambda u: 2.0 * np.arctan(u / c)
+    theta_prime = lambda u: 2.0 * c / (c * c + u * u)
     return _solve_ring(n, L, eta, eta, quantum_numbers, theta, theta_prime,
                        tol, max_iter, "boson", c)
 

@@ -5,19 +5,20 @@ Records are JSON by default (canonical form: sorted keys, two-space indent,
 so identical runs are byte-identical) or a fixed-column CSV projection.
 Every record embeds the schema name, the package version, and the full
 parameter set including the seed, so any output file is reproducible from
-its own header.  Output goes to stdout, to --output PATH, or to the path in
-the MOMGAS_OUTPUT environment variable, written atomically (temp file plus
-rename) so readers never observe a partial record.  Each subcommand is one
-entry of COMMANDS: its help text, flags, handler and CSV columns.  `main`
-builds the record once, in one walk over the parameters and the handler's
-results (`_jsonable`), inside the error boundary, so a result that is not
-finite exits 1 before anything is written.
+its own header.  Output goes to stdout or to --output PATH, written
+atomically (temp file plus rename) so readers never observe a partial
+record.  Each subcommand is one entry of COMMANDS: its help text, flags,
+handler and CSV columns.  `main` builds the record once, in one walk over
+the parameters and the handler's results (`_jsonable`), and writes it, all
+inside the error boundary, so a result that is not finite exits 1 before
+anything is written and a path that cannot be written exits 1 too.
 
 Exit codes separate misuse from falsification:
   0  success
   1  validation error (bad flags, out-of-guard N, malformed or non-finite numbers,
      attractive-sector solve, finite flags whose arithmetic leaves the float64
-     range and so would put NaN or Infinity in the record, ...)
+     range and so would put NaN or Infinity in the record, an --output path
+     that cannot be written, ...)
   2  numerical non-convergence (Newton iteration exhausted, a Fourier sum
      error estimate too large or value above its modulus bound or below its
      lower bound, a non-positive extrapolated integral in reg-bound-state)
@@ -378,7 +379,7 @@ _OUTPUT = [
     ("--format", dict(choices=["json", "csv"], default="json",
                       help="output format (default json)")),
     ("--output", dict(default=None,
-                      help="output path (default stdout; MOMGAS_OUTPUT overrides the default)")),
+                      help="output path (default stdout)")),
 ]
 _N = ("--n", dict(type=int, required=True))
 _BOX = ("--box", dict(type=_finite, required=True))
@@ -512,6 +513,7 @@ def main(argv=None) -> int:
         else:
             text = _render_csv(command.columns, [{**record["params"], **record["results"]}]
                                if rows is None else rows)
+        _write_output(text, args.output)
     except (UsageError, ValueError, TypeError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConvergenceError) else 1
@@ -521,7 +523,10 @@ def main(argv=None) -> int:
         # not finite
         print(f"error: {args.command}: float64 range exceeded ({exc})", file=sys.stderr)
         return 1
-    _write_output(text, args.output or os.environ.get("MOMGAS_OUTPUT"))
+    except OSError as exc:
+        print(f"error: {args.command}: cannot write {args.output or 'stdout'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -892,6 +892,65 @@ def test_weak_coupling_roots_follow_the_linearised_log_form(n):
         assert not _is_third_order(mutant, qn, float(n), delta), (n, qn == ground, eta)
 
 
+_STRONG_LAMS = (1e4, 1e5, 1e6)
+
+
+def _hermite_zeros(n):
+    # the zeros of the physicists' Hermite polynomial H_N: the eigenvalues of
+    # its Jacobi matrix, zero diagonal and off-diagonal sqrt(j / 2),
+    # j = 1..N-1 (Golub and Welsch, Math. Comp. 23, 221 (1969))
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+
+
+def _hermite_errors(k, L, lam):
+    # relative errors of ground-block roots and of their energy against the
+    # lam -> inf limit.  theta(u) = pi sgn(u) - 2/(lam u) + O(lam^-3), and
+    # under the parity rule the sgn terms sum to 2 pi I_j, which leaves
+    # k_j L = (2/lam) sum_{l != j} 1/(k_j - k_l): Stieltjes's equations for
+    # the zeros x_j of H_N (Szego, Orthogonal Polynomials, 6.7) at
+    # k_j = sqrt(2/(lam L)) x_j, so E = sum_j k_j^2 -> N (N - 1)/(lam L)
+    n = len(k)
+    limit = math.sqrt(2.0 / (lam * L)) * _hermite_zeros(n)
+    return (np.max(np.abs(k - limit)) / np.max(np.abs(limit)),
+            abs(np.sum(k * k) * lam * L / (n * (n - 1)) - 1.0))
+
+
+def _is_first_order(roots_at, L):
+    # both errors fall by 10 per decade of lam (measured 9.9 to 10.0 at N = 4
+    # and 64; E lam L / (N (N - 1)) - 1 reads -1/(3 lam) at N = L = 4)
+    errors = [_hermite_errors(roots_at(lam), L, lam) for lam in _STRONG_LAMS]
+    return all(abs(a / b - 10.0) <= 0.5
+               for pair in zip(errors, errors[1:]) for a, b in zip(*pair))
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_strong_coupling_ground_roots_approach_the_hermite_zeros(n):
+    # an oracle that shares no code with theta, Newton or the product form,
+    # at couplings where no golden record lives
+    L, eta = float(n), parity_rule_eta(n)
+    roots = lambda lam: np.asarray(solve_bethe(n, L, lam, eta=eta, tol=1e-11).momenta)
+    assert _is_first_order(roots, L)
+    # the other eta's branch offset fails the check
+    other = lambda lam: np.asarray(solve_bethe(n, L, lam, eta=math.pi - eta, tol=1e-11).momenta)
+    assert not _is_first_order(other, L)
+    # and so do roots of theta scaled by 1 + 1e-3, from the dense reference
+    s, I = 1.0 + 1e-3, np.asarray(ground_state_quantum_numbers(n))
+    mutant = lambda lam: _dense_newton_reference(
+        I, L, 0.0, lambda u: s * 2.0 * np.arctan(lam * u),
+        lambda u: s * 2.0 * lam / (1.0 + (lam * u) ** 2), 1e-11, 200)[0]
+    assert not _is_first_order(mutant, L)
+
+
+def test_strong_coupling_limit_holds_at_n1024():
+    # the leading Hermite limit at lam = 1e6 (measured 4.2e-5 on the roots,
+    # 8.3e-5 on the energy), which the other eta's roots miss
+    n, lam = 1024, 1e6
+    for eta, holds in ((parity_rule_eta(n), True), (math.pi - parity_rule_eta(n), False)):
+        k = np.asarray(solve_bethe(n, float(n), lam, eta=eta, tol=1e-11).momenta)
+        assert (max(_hermite_errors(k, float(n), lam)) <= 1e-4) == holds, eta
+
+
 @pytest.mark.parametrize("solve", [
     pytest.param(lambda: solve_bethe(3, 10.0, 1e200), id="bethe-lam-1e200"),
     pytest.param(lambda: solve_bethe(3, 10.0, 1e300), id="bethe-lam-1e300"),

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -65,7 +66,6 @@ def test_module_entry_point_prints_the_record(capsys):
     src = str(Path(momgas.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    env.pop("MOMGAS_OUTPUT", None)
     proc = subprocess.run([sys.executable, "-m", "momgas.cli", "coleman", "--g", "1"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -425,6 +425,25 @@ def test_a_hard_core_coupling_writes_nothing_to_stderr(fresh_python):
     assert json.loads(proc.stdout)["results"]["max_residual"] <= 1e-12
 
 
+def test_a_tiny_box_solves_both_models_without_a_float_warning(capsys):
+    # at L = 3.5e-154 the roots sit near 6e137, so u^2 overflows in the boson
+    # theta' as (lam u)^2 does in the fermion one: both take the limit value
+    def results(*argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--n", "2", "--box", "3.5e-154"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return json.loads(captured.out)["results"]
+
+    fermion = results("bethe-solve", "--lambda", "1")["momenta"]
+    boson = results("ll-solve", "--c", "1")["momenta"]
+    dual = results("duality", "--lambda", "1")
+    # float repr round-trips, so equal parsed floats are equal bits
+    assert boson == dual["boson_roots"] == dual["fermion_roots"] == fermion
+    assert abs(fermion[0]) > 6e137
+
+
 @pytest.mark.parametrize("argv, text", [
     (["bethe-solve", "--n", "3", "--box", "1e-320", "--lambda", "1"], "L = 1e-320"),
     (["bethe-solve", "--n", "3", "--box", "1e-300", "--lambda", "1"], "L = 1e-300"),
@@ -524,21 +543,28 @@ def test_no_temp_files_left_behind(tmp_path):
     assert leftovers == []
 
 
-def test_env_var_output_override(tmp_path, monkeypatch, capsys):
+def test_the_environment_does_not_redirect_the_record(tmp_path, monkeypatch, capsys):
+    # --output is the only way to choose the output path
     target = tmp_path / "env.json"
     monkeypatch.setenv("MOMGAS_OUTPUT", str(target))
     assert main(["coleman", "--g", "1.0"]) == 0
-    assert capsys.readouterr().out == ""
-    assert json.loads(target.read_text())["command"] == "coleman"
+    assert json.loads(capsys.readouterr().out)["command"] == "coleman"
+    assert not target.exists()
 
 
-def test_explicit_output_beats_env_var(tmp_path, monkeypatch):
-    env_target = tmp_path / "env.json"
-    flag_target = tmp_path / "flag.json"
-    monkeypatch.setenv("MOMGAS_OUTPUT", str(env_target))
-    assert main(["coleman", "--g", "1.0", "--output", str(flag_target)]) == 0
-    assert flag_target.exists()
-    assert not env_target.exists()
+@pytest.mark.parametrize("target, reason", [
+    ("existing-dir", "Is a directory"),   # os.replace fails after the temp file is written
+    ("missing-dir/rec.json", "No such file or directory"),   # the temp file cannot be made
+])
+def test_exit_1_names_an_output_path_that_cannot_be_written(tmp_path, capsys, target, reason):
+    (tmp_path / "existing-dir").mkdir()
+    path = str(tmp_path / target)
+    assert main(["coleman", "--g", "2.5", "--output", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: coleman: cannot write {path}: {reason}\n"
+    assert sorted(os.listdir(tmp_path)) == ["existing-dir"]
+    assert os.listdir(tmp_path / "existing-dir") == []
 
 
 # ---------------------------------------------------------------------------

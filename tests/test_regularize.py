@@ -331,23 +331,17 @@ def test_quadrature_above_its_modulus_bound_is_a_convergence_error():
     assert "at epsilon = 4e-100, |E| = 1 (omega = eps sqrt|E| = 4e-100)" in message
 
 
-def test_importing_momgas_leaves_scipy_unloaded():
-    # a cold `import momgas` loads no scipy; no subcommand loads it either
-    # (FOOTPRINT below)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys, momgas; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-# the heavy libraries a cold process loads, by what it runs: the exact
-# algebra, the two-body closed forms, the non-relativistic scans and maps and
-# the regularized integral need none of them, the Gaudin checks only mpmath
-HEAVY = ("mpmath", "numpy", "scipy")
+# the libraries and modules a cold process loads, by what it runs: the
+# ring solvers load numpy, the Gaudin checks mpmath, the exact algebra
+# `momgas.yang_baxter` with fractions (and decimal, which fractions imports),
+# and the two-body closed forms, the non-relativistic scans and maps and the
+# regularized integral none of them.  No code path loads scipy.  A module
+# absent from sys.modules after the run was never imported, so the table
+# also shows that each subcommand runs with the others unimportable
+HEAVY = ("decimal", "fractions", "momgas.yang_baxter", "mpmath", "numpy", "scipy")
+_EXACT = ("decimal", "fractions", "momgas.yang_baxter")
 FOOTPRINT = {
-    "two-body": (), "bound-state": (), "yb-check": (), "delta-control": (),
+    "two-body": (), "bound-state": (), "yb-check": _EXACT, "delta-control": _EXACT,
     "vertex-scan": (), "dispersion-scan": (), "coupling-maps": (), "coleman": (),
     "reg-integral": (), "reg-bound-state": (),
     "bethe-solve": ("numpy",), "ll-solve": ("numpy",), "duality": ("numpy",),
@@ -373,38 +367,11 @@ def test_importing_the_cli_loads_no_library_module(fresh_python):
     assert _loaded(fresh_python(code)) == "['momgas.cli']"
 
 
-def test_the_cli_loads_fractions_only_for_rational_flags(fresh_python):
-    # only yb-check and delta-control parse rationals; fractions drags in decimal
-    from test_cli import SMOKE
-    code = ("import contextlib, io, sys\n"
-            "import momgas.cli\n"
-            "loaded = lambda: [m in sys.modules for m in ('fractions', 'decimal')]\n"
-            "cold = loaded()\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = momgas.cli.main(sys.argv[1:])\n"
-            "print(code, cold, loaded())\n")
-    proc = fresh_python(code, "two-body", *SMOKE["two-body"])
-    assert _loaded(proc) == "0 [False, False] [False, False]"
-
-
 def test_the_gaudin_checks_leave_numpy_unloaded(fresh_python):
     code = ("import sys, momgas\n"
             "momgas.gaudin_residual_scan(3, 1)\n"
             "print('numpy' in sys.modules, 'mpmath' in sys.modules)")
     assert _loaded(fresh_python(code)) == "False True"
-
-
-def test_a_cold_gaudin_check_leaves_the_exact_algebra_unloaded(fresh_python):
-    # bethe takes perm_sign from twobody, so neither yang_baxter nor the
-    # fractions and decimal it brings is loaded
-    from test_cli import SMOKE
-    code = ("import contextlib, io, sys\n"
-            "from momgas.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = main(sys.argv[1:])\n"
-            "print(code, [m for m in ('momgas.yang_baxter', 'fractions', 'decimal')\n"
-            "             if m in sys.modules])\n")
-    assert _loaded(fresh_python(code, "gaudin-check", *SMOKE["gaudin-check"])) == "0 []"
 
 
 def test_every_subcommand_has_a_pinned_footprint():
