@@ -29,9 +29,9 @@ __version__ = "0.1.0"
 
 class ConvergenceError(RuntimeError):
     """A numerical computation failed to reach its target: a Newton solve
-    exhausted or stalled, a Fourier sum with too large an error estimate or
-    a value above its modulus bound or below its lower bound, or a
-    non-positive extrapolated integral.
+    exhausted or stalled or its matrix singular in float64, a Fourier sum
+    with too large an error estimate or a value above its modulus bound or
+    below its lower bound, or a non-positive extrapolated integral.
     Defined here, not in a submodule, so that catching it imports neither
     numpy nor mpmath; `bethe` and `regularize` raise this same class."""
 

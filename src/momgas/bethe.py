@@ -64,15 +64,18 @@ Both are solved by one damped Newton iteration with the analytic Jacobian
 J = diag(L + sum_l a_jl) - a, where a_jl = theta'(k_j - k_l) > 0 off the
 diagonal.  For repulsive couplings J is L times the identity plus a graph
 Laplacian: symmetric positive definite, smallest eigenvalue L, and a
-condition number of a few units at every N.  Up to DIRECT_SOLVE_MAX
-particles each step is a dense LU solve, so small-N roots (the golden
-records among them) stay bit for bit; above it Jacobi-preconditioned
-conjugate gradients solve the step in a few matrix-vector products instead
-of O(N^3) work.  The residual and the Jacobian are built in row blocks, so
-on that path the Jacobian is the only N x N array.  The models differ only
-in theta and theta', each coded on its own, so `duality_check` compares two
-independent codings of the same equation; `_log_form` and `_newton_step`
-evaluate both under one float-range policy (the comment above `_log_form`).
+condition number of a few units at every N, unless theta' of order lam
+on clustered hard-core roots hides L in float64 (a singular J raises
+ConvergenceError).  Up to DIRECT_SOLVE_MAX particles each step is a dense
+LU solve, so small-N roots (the golden records among them) stay bit for
+bit; above it Jacobi-preconditioned conjugate gradients solve the step in
+a few matrix-vector products instead of O(N^3) work.  The residual and the
+Jacobian are built in row blocks, and both solves take the Jacobian as
+filled, so it is the only N x N array on either path.  The models differ
+only in theta and theta', each coded on its own, so `duality_check`
+compares two independent codings of the same equation; `_log_form` and
+`_newton_step` evaluate both under one float-range policy (the comment
+above `_log_form`).
 
 Schroedinger probe.  `schrodinger_residual` takes a wavefunction, as
 `bc_residual` does, and runs the same recursion at 40 mpmath digits: N^2
@@ -397,14 +400,15 @@ def _row_blocks(n: int):
             for start in range(0, n, RESIDUAL_BLOCK_ROWS))
 
 
-def _jacobi_pcg(diag: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # conjugate gradients for (diag(diag) - a) x = b, preconditioned by the
-    # diagonal; stops at a recursive residual of 1e-15 ||b|| or after N
-    # iterations, the exact-arithmetic bound
+def _jacobi_pcg(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # conjugate gradients for J x = b, preconditioned by the diagonal; stops
+    # at a recursive residual of 1e-15 ||b|| or after N iterations, the
+    # exact-arithmetic bound
     import numpy as np
 
+    diag = J.diagonal()
     x = b / diag
-    r = b - (diag * x - a @ x)
+    r = b - J @ x
     z = r / diag
     p = z
     rz = r @ z
@@ -412,7 +416,7 @@ def _jacobi_pcg(diag: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for _ in range(len(b)):
         if np.linalg.norm(r) <= bound:
             break
-        q = diag * p - a @ p
+        q = J @ p
         alpha = rz / (p @ q)
         x = x + alpha * p
         r = r - alpha * q
@@ -427,8 +431,9 @@ def _jacobi_pcg(diag: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # and u^2 overflow to inf without harm: arctan(+-inf) = +-pi/2 is the correctly
 # rounded value long before float64 ends, and 2 lam / inf = 2 c / inf = 0 is
 # theta''s limit.  c^2 may underflow, so the diagonal u = 0 reads 2 c / 0 = inf;
-# `_newton_step` discards the diagonal.  theta' only steers the step: the roots
-# are the zeros of the log form, which theta alone fixes.
+# `_newton_step` discards the diagonal.  theta' doubles its quotient last, so
+# 2 lam, which overflows from lam = 9e307, is never formed.  theta' only steers
+# the step: the roots are the zeros of the log form, which theta alone fixes.
 
 
 def _log_form(k: np.ndarray, I: np.ndarray, L: float, delta: float, theta) -> np.ndarray:
@@ -442,25 +447,31 @@ def _log_form(k: np.ndarray, I: np.ndarray, L: float, delta: float, theta) -> np
     return out
 
 
-def _newton_step(k: np.ndarray, f: np.ndarray, L: float, theta_prime) -> np.ndarray:
+def _newton_step(k: np.ndarray, f: np.ndarray, L: float, theta_prime, it: int) -> np.ndarray:
     # full Newton step -J^{-1} f with J = diag(L + sum_l a_jl) - a,
     # a_jl = theta'(k_j - k_l) and a_jj = 0: a dense LU solve up to
     # DIRECT_SOLVE_MAX, Jacobi-preconditioned CG above (J is SPD, see the
-    # module docstring).  a is filled in row blocks, is the only N x N array
-    # on the CG path, and is freed on return, before the damping loop
-    # evaluates the residual
+    # module docstring).  J is filled in place one row block at a time, is
+    # the only N x N array on either path, and is freed on return, before
+    # the damping loop evaluates the residual
     import numpy as np
 
     n = len(k)
-    a = np.empty((n, n))
+    J = np.empty((n, n))
     with np.errstate(over="ignore", divide="ignore"):
         for rows in _row_blocks(n):
-            a[rows] = theta_prime(k[rows, None] - k[None, :])
-    np.fill_diagonal(a, 0.0)
-    diag = L + a.sum(axis=1)
-    if n <= DIRECT_SOLVE_MAX:
-        return np.linalg.solve(np.diag(diag) - a, -f)
-    return _jacobi_pcg(diag, a, -f)
+            block, square = J[rows], J[rows, rows]
+            np.negative(theta_prime(k[rows, None] - k[None, :]), out=block)
+            np.fill_diagonal(square, 0.0)
+            np.fill_diagonal(square, L - block.sum(axis=1))
+    if n > DIRECT_SOLVE_MAX:
+        return _jacobi_pcg(J, -f)
+    try:
+        return np.linalg.solve(J, -f)
+    except np.linalg.LinAlgError:
+        raise ConvergenceError(
+            f"Newton matrix is singular in float64 at step {it + 1}: L = {L:g} is lost "
+            f"against the largest row sum of theta', {J.diagonal().max() - L:.3g}") from None
 
 
 def _newton_log_form(I: np.ndarray, L: float, delta: float, theta, theta_prime,
@@ -476,7 +487,7 @@ def _newton_log_form(I: np.ndarray, L: float, delta: float, theta, theta_prime,
         if it == max_iter:
             raise ConvergenceError(
                 f"Newton iteration did not reach residual {tol:g} in {max_iter} steps")
-        step = _newton_step(k, f, L, theta_prime)
+        step = _newton_step(k, f, L, theta_prime, it)
         scale = 1.0
         # step halving until the residual norm decreases
         for _ in range(60):
@@ -570,7 +581,7 @@ def solve_bethe(n: int, L: float, lam: float, quantum_numbers=None,
     eta = parity_rule_eta(n) if eta is None else _validate_eta(eta)
     delta = eta - parity_rule_eta(n)
     theta = lambda u: 2.0 * np.arctan(lam * u)
-    theta_prime = lambda u: 2.0 * lam / (1.0 + (lam * u) ** 2)
+    theta_prime = lambda u: 2.0 * (lam / (1.0 + (lam * u) ** 2))
     return _solve_ring(n, L, eta, delta, quantum_numbers, theta, theta_prime,
                        tol, max_iter, "fermion", lam)
 
@@ -590,7 +601,7 @@ def solve_lieb_liniger(n: int, L: float, c: float, eta: float = 0.0,
         raise ValueError("c must be positive (repulsive delta gas)")
     eta = _validate_eta(eta)
     theta = lambda u: 2.0 * np.arctan(u / c)
-    theta_prime = lambda u: 2.0 * c / (c * c + u * u)
+    theta_prime = lambda u: 2.0 * (c / (c * c + u * u))
     return _solve_ring(n, L, eta, eta, quantum_numbers, theta, theta_prime,
                        tol, max_iter, "boson", c)
 
@@ -643,12 +654,11 @@ def duality_check(n: int, L: float, lam: float, eta: float | None = None) -> dic
     With eta = None the fermion ring uses the parity rule (eta = 0 for even
     N, pi for odd N), under which the two root sets coincide; passing the
     opposite phase shows the macroscopic mismatch."""
-    eta_used = parity_rule_eta(n) if eta is None else _validate_eta(eta)
-    fermion = solve_bethe(n, L, lam, eta=eta_used)
+    fermion = solve_bethe(n, L, lam, eta=eta)
     c_dual = 1.0 / lam
     if not math.isfinite(c_dual):
         raise ValueError(f"lam = {lam!r} has no dual delta gas: c = 1/lam overflows float64")
-    qn = fermion.quantum_numbers
+    qn, eta_used = fermion.quantum_numbers, fermion.boundary_phase
     boson = solve_lieb_liniger(n, L, c_dual, quantum_numbers=qn)
     return {
         "n": n,

@@ -19,7 +19,8 @@ Exit codes separate misuse from falsification:
      attractive-sector solve, finite flags whose arithmetic leaves the float64
      range and so would put NaN or Infinity in the record, an --output path
      that cannot be written, ...)
-  2  numerical non-convergence (Newton iteration exhausted, a Fourier sum
+  2  numerical non-convergence (Newton iteration exhausted or stalled, a Newton
+     matrix singular in float64 at a hard-core coupling, a Fourier sum
      error estimate too large or value above its modulus bound or below its
      lower bound, a non-positive extrapolated integral in reg-bound-state)
   3  exact-check failure: unitarity false, a zero Yang-Baxter defect at a
@@ -191,9 +192,11 @@ def _cmd_bound_state(args):
     return results, None, 0
 
 
-def _solve_record(state):
+def _solve_record(solve, coupling, args):
     from .bethe import bethe_residuals
 
+    state = solve(args.n, args.box, coupling, quantum_numbers=args.quantum_numbers,
+                  eta=_eta_value(args.eta), tol=args.tol, max_iter=args.max_iter)
     residuals = bethe_residuals(state)
     results = {
         "momenta": list(state.momenta),
@@ -212,19 +215,13 @@ def _solve_record(state):
 def _cmd_bethe_solve(args):
     from .bethe import solve_bethe
 
-    return _solve_record(solve_bethe(args.n, args.box, args.lam,
-                                     quantum_numbers=args.quantum_numbers,
-                                     eta=_eta_value(args.eta),
-                                     tol=args.tol, max_iter=args.max_iter))
+    return _solve_record(solve_bethe, args.lam, args)
 
 
 def _cmd_ll_solve(args):
     from .bethe import solve_lieb_liniger
 
-    return _solve_record(solve_lieb_liniger(args.n, args.box, args.c,
-                                            eta=_eta_value(args.eta),
-                                            quantum_numbers=args.quantum_numbers,
-                                            tol=args.tol, max_iter=args.max_iter))
+    return _solve_record(solve_lieb_liniger, args.c, args)
 
 
 def _cmd_duality(args):

@@ -868,6 +868,24 @@ def _is_third_order(roots_at, qn, L, delta):
     return all(abs(math.log2(a / b) - 3.0) <= 0.15 for a, b in zip(errors, errors[1:]))
 
 
+def _cubic_coefficient(qn, L, delta):
+    # c_j = (2/(3L)) sum_l (k0_j - k0_l)^3, k0 = (2 pi I + delta)/L: the lam^3
+    # term of the roots past the linearised form, derived in
+    # test_weak_coupling_cubic_term_is_derived_from_the_log_form
+    k0 = (2.0 * math.pi * np.asarray(qn, dtype=float) + delta) / L
+    return 2.0 / (3.0 * L) * ((k0[:, None] - k0[None, :]) ** 3).sum(axis=1)
+
+
+def _has_cubic_term(roots_at, qn, L, delta):
+    # the misfit of (k - k1)/lam^3 against c is O(lam), so it halves with lam
+    # (measured 0.077, 0.039, 0.020 at N = L = 4; ratios 1.96 to 2.03 at
+    # every N, state and eta below)
+    c = _cubic_coefficient(qn, L, delta)
+    misfits = [np.max(np.abs((roots_at(lam) - _weak_coupling_roots(qn, L, delta, lam)) / lam ** 3
+                             - c)) / np.max(np.abs(c)) for lam in _WEAK_LAMS]
+    return all(abs(a / b - 2.0) <= 0.2 for a, b in zip(misfits, misfits[1:]))
+
+
 @pytest.mark.parametrize("n", [4, 64, 1024])
 def test_weak_coupling_roots_follow_the_linearised_log_form(n):
     # an oracle that shares no code with theta, Newton or the product form
@@ -875,21 +893,51 @@ def test_weak_coupling_roots_follow_the_linearised_log_form(n):
     excited = [ground[0] - 1.0, *ground[1:-1], ground[-1] + 3.0]
     for qn, eta in itertools.product((ground, excited), (0.0, math.pi)):
         delta = eta - parity_rule_eta(n)
-        roots = lambda lam: np.asarray(solve_bethe(n, float(n), lam, quantum_numbers=qn,
-                                                   eta=eta, tol=1e-11).momenta)
+        roots = functools.cache(lambda lam: np.asarray(solve_bethe(
+            n, float(n), lam, quantum_numbers=qn, eta=eta, tol=1e-11).momenta))
         assert _is_third_order(roots, qn, float(n), delta), (n, qn == ground, eta)
-        # the other eta's branch offset fails the check
+        assert _has_cubic_term(roots, qn, float(n), delta), (n, qn == ground, eta)
+        # the other eta's branch offset fails the checks
         other = (math.pi - eta) - parity_rule_eta(n)
         assert not _is_third_order(roots, qn, float(n), other), (n, qn == ground, eta)
+        assert not _has_cubic_term(roots, qn, float(n), other), (n, qn == ground, eta)
         if n > 64:
             continue
         # and so do roots of theta scaled by 1 + 1e-3, from the dense reference
         s = 1.0 + 1e-3
-        mutant = lambda lam: _dense_newton_reference(
+        mutant = functools.cache(lambda lam: _dense_newton_reference(
             np.asarray(qn, dtype=float), float(n), delta,
             lambda u: s * 2.0 * np.arctan(lam * u),
-            lambda u: s * 2.0 * lam / (1.0 + (lam * u) ** 2), 1e-11, 200)[0]
+            lambda u: s * 2.0 * lam / (1.0 + (lam * u) ** 2), 1e-11, 200)[0])
         assert not _is_third_order(mutant, qn, float(n), delta), (n, qn == ground, eta)
+        assert not _has_cubic_term(mutant, qn, float(n), delta), (n, qn == ground, eta)
+
+
+def test_weak_coupling_cubic_term_is_derived_from_the_log_form():
+    # k = k0 + lam k1 + lam^2 k2 + lam^3 k3 solves the log form
+    # (k_j - k0_j) L + sum_l theta(k_j - k_l) = 0 order by order in lam, with
+    # theta's series to lam^3, here at N = 4 with symbolic k0 and L.  The
+    # linearised roots agree through lam^2 and miss the lam^3 term by c
+    import sympy as sp
+
+    n = 4
+    lam, L, u = sp.symbols("lambda L u", positive=True)
+    k0 = sp.symbols(f"k0:{n}")
+    orders = [sp.symbols(f"k{m}_0:{n}") for m in (1, 2, 3)]
+    theta = sp.series(2 * sp.atan(lam * u), lam, 0, 4).removeO()
+    k = [k0[j] + sum(lam ** m * orders[m - 1][j] for m in (1, 2, 3)) for j in range(n)]
+    log_form = [sp.expand((k[j] - k0[j]) * L + sum(theta.subs(u, k[j] - k[l]) for l in range(n)))
+                for j in range(n)]
+    terms = {}
+    for m in (1, 2, 3):
+        terms.update(sp.solve([f.coeff(lam, m).subs(terms) for f in log_form], orders[m - 1]))
+    for j in range(n):
+        # _weak_coupling_roots, where P = sum_l k0_l
+        k1 = sp.series((L * k0[j] + 2 * lam * sum(k0)) / (L + 2 * lam * n), lam, 0, 4).removeO()
+        assert all(sp.expand(k1.coeff(lam, m) - terms[orders[m - 1][j]]) == 0 for m in (1, 2))
+        c = terms[orders[2][j]] - k1.coeff(lam, 3)
+        assert sp.expand(c - sp.Rational(2, 3) / L * sum((k0[j] - k0[l]) ** 3
+                                                          for l in range(n))) == 0
 
 
 _STRONG_LAMS = (1e4, 1e5, 1e6)
@@ -942,6 +990,67 @@ def test_strong_coupling_ground_roots_approach_the_hermite_zeros(n):
     assert not _is_first_order(mutant, L)
 
 
+def _strong_coupling_energy_slope(n):
+    # a in E lam L / (N (N - 1)) = 1 + a L / lam + O(lam^-2), derived with
+    # sympy.  Less its jump pi sgn(u), theta(u) = -2/(lam u) + 2/(3 (lam u)^3)
+    # + O((lam u)^-5) as lam u -> inf, so at k_j = sqrt(2/(lam L)) x_j the
+    # ground-block log form, divided by sqrt(2 L / lam), reads
+    # x_j = sum_l 1/(x_j - x_l) - (L/(6 lam)) sum_l 1/(x_j - x_l)^3:
+    # Stieltjes's equations, perturbed.  Their first-order shift y/lam of the
+    # Hermite zeros x0 (to 40 digits) moves 2 sum_j x_j^2 / (N (N - 1)),
+    # which is E lam L / (N (N - 1)), by 4 sum_j x0_j y_j / (N (N - 1) lam)
+    import sympy as sp
+
+    lam, L, z, t = sp.symbols("lambda L z t", positive=True)
+    d, x = sp.symbols("d x")
+    jumpless = 2 * sp.series(sp.atan(z), z, sp.oo, 5).removeO() - sp.pi
+    s = sp.sqrt(2 / (lam * L))
+    # theta(k_j - k_l) less its jump, over s L, at t = 1/lam: the log form is
+    # x_j + sum_l pair(x_j - x_l) = 0
+    pair = sp.expand(sp.powsimp(jumpless.subs(z, lam * s * d) / (s * L))).subs(lam, 1 / t)
+    x0 = sp.Poly(sp.hermite(n, x), x).nroots(n=40)
+    y = sp.symbols(f"y0:{n}")
+    xs = [x0[j] + t * y[j] for j in range(n)]
+    stieltjes = [xs[j] + sum(pair.subs(d, xs[j] - xs[l]) for l in range(n) if l != j)
+                 for j in range(n)]
+    assert all(abs(f.subs(t, 0)) < 1e-35 for f in stieltjes)
+    shift = sp.solve([sp.diff(f, t).subs(t, 0) for f in stieltjes], y, dict=True,
+                     rational=False)[0]
+    return float(4 * sum(x0[j] * shift[y[j]] for j in range(n)) / (n * (n - 1)) / L)
+
+
+def _follows_the_energy_slope(roots_at, L, slope):
+    # E lam L / (N (N - 1)) - 1 against slope L / lam: the ratio is 1 up to
+    # the next order, measured -N L / (30 lam) at N = 2, 3, 4 and L = 4, 10
+    for lam in (1e3, 1e4, 1e5):
+        k = roots_at(lam)
+        n = len(k)
+        ratio = (np.sum(k * k) * lam * L / (n * (n - 1)) - 1.0) / (slope * L / lam)
+        if abs(ratio - 1.0) > n * L / (20.0 * lam):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_strong_coupling_energy_has_the_derived_first_correction(n):
+    # E lam L / (N (N - 1)) = 1 - L / (12 lam) + O(lam^-2): the slope is
+    # derived at each N, and the ground-block roots follow it in two boxes
+    slope = _strong_coupling_energy_slope(n)
+    assert slope == pytest.approx(-1.0 / 12.0, rel=1e-15)
+    eta, I = parity_rule_eta(n), np.asarray(ground_state_quantum_numbers(n))
+    for L in (4.0, 10.0):
+        roots = lambda lam: np.asarray(solve_bethe(n, L, lam, eta=eta).momenta)
+        assert _follows_the_energy_slope(roots, L, slope), L
+        # the other eta's roots and those of theta scaled by 1 + 1e-3 do not
+        other = lambda lam: np.asarray(solve_bethe(n, L, lam, eta=math.pi - eta).momenta)
+        assert not _follows_the_energy_slope(other, L, slope), L
+        s = 1.0 + 1e-3
+        mutant = lambda lam: _dense_newton_reference(
+            I, L, 0.0, lambda u: s * 2.0 * np.arctan(lam * u),
+            lambda u: s * 2.0 * lam / (1.0 + (lam * u) ** 2), 1e-13, 200)[0]
+        assert not _follows_the_energy_slope(mutant, L, slope), L
+
+
 def test_strong_coupling_limit_holds_at_n1024():
     # the leading Hermite limit at lam = 1e6 (measured 4.2e-5 on the roots,
     # 8.3e-5 on the energy), which the other eta's roots miss
@@ -954,6 +1063,8 @@ def test_strong_coupling_limit_holds_at_n1024():
 @pytest.mark.parametrize("solve", [
     pytest.param(lambda: solve_bethe(3, 10.0, 1e200), id="bethe-lam-1e200"),
     pytest.param(lambda: solve_bethe(3, 10.0, 1e300), id="bethe-lam-1e300"),
+    # 2 lam overflows from lam = 9e307
+    pytest.param(lambda: solve_bethe(3, 10.0, 1e308), id="bethe-lam-1e308"),
     pytest.param(lambda: solve_lieb_liniger(3, 10.0, 1e-300), id="lieb_liniger-c-1e-300"),
     # the free initial guess 2 pi I / L makes lam * u and u / c overflow
     pytest.param(lambda: solve_bethe(3, 1e-8, 1e300), id="bethe-lam-1e300-box-1e-8"),
@@ -1057,6 +1168,17 @@ def test_stalled_newton_names_tolerance_norm_and_step():
     assert "eps * max|k L|" in message
     norm = float(message.split("residual norm ")[1].split()[0])
     assert 1e-13 < norm < 1e-12
+
+
+def test_a_singular_newton_matrix_names_its_cause():
+    # clustered roots at a hard-core coupling give theta' of order lam, and
+    # L = 0.93 is lost against it on the diagonal of J
+    with pytest.raises(ConvergenceError) as err:
+        solve_bethe(7, 0.9251554403241824, 6.1e250, quantum_numbers=[-3, -2, -1, 0, 1, 2, 5],
+                    eta=math.pi, tol=2.75e-12)
+    message = str(err.value)
+    assert message.startswith("Newton matrix is singular in float64 at step ")
+    assert "L = 0.925155 is lost against the largest row sum of theta', " in message
 
 
 @pytest.mark.parametrize("max_iter", [0, -3])

@@ -310,6 +310,16 @@ def test_exit_2_names_the_tolerance_when_newton_stalls(capsys):
     assert "above tol 1e-13" in err
 
 
+def test_exit_2_names_a_singular_newton_matrix(capsys):
+    # a hard-core excited block whose Newton matrix LU finds singular
+    assert main(["bethe-solve", "--n", "7", "--box", "0.9251554403241824", "--lambda", "6.1e250",
+                 "--eta", "pi", "--quantum-numbers=-3,-2,-1,0,1,2,5", "--tol", "2.75e-12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Newton matrix is singular in float64 at step ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_exit_2_when_the_extrapolated_integral_is_not_positive(capsys, monkeypatch):
     # no real coupling is known to reach this guard; force it to pin the message
     monkeypatch.setattr(momgas.regularize, "extrapolate_integral", lambda *args: -5.0)
@@ -416,13 +426,16 @@ def test_exit_1_on_a_non_finite_csv_cell(capsys, monkeypatch):
 
 
 def test_a_hard_core_coupling_writes_nothing_to_stderr(fresh_python):
-    # (lam u)^2 overflows in theta' at lam = 1e200; a fresh interpreter
-    # prints any RuntimeWarning
-    proc = fresh_python("import sys\nfrom momgas.cli import main\nsys.exit(main(sys.argv[1:]))",
-                        "bethe-solve", "--n", "3", "--box", "10", "--lambda", "1e200")
-    assert proc.returncode == 0
-    assert proc.stderr == ""
-    assert json.loads(proc.stdout)["results"]["max_residual"] <= 1e-12
+    # (lam u)^2 overflows in theta' from lam = 1e200 and 2 lam from 9e307; a
+    # fresh interpreter prints any RuntimeWarning
+    code = "import sys\nfrom momgas.cli import main\nsys.exit(main(sys.argv[1:]))"
+    for command, lam, field in (("bethe-solve", "1e200", "max_residual"),
+                                ("bethe-solve", "1e308", "max_residual"),
+                                ("duality", "1e308", "max_abs_difference")):
+        proc = fresh_python(code, command, "--n", "3", "--box", "10", "--lambda", lam)
+        assert proc.returncode == 0, (command, lam)
+        assert proc.stderr == "", (command, lam)
+        assert json.loads(proc.stdout)["results"][field] <= 1e-12, (command, lam)
 
 
 def test_a_tiny_box_solves_both_models_without_a_float_warning(capsys):
