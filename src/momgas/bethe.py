@@ -69,13 +69,27 @@ on clustered hard-core roots hides L in float64 (a singular J raises
 ConvergenceError).  Up to DIRECT_SOLVE_MAX particles each step is a dense
 LU solve, so small-N roots (the golden records among them) stay bit for
 bit; above it Jacobi-preconditioned conjugate gradients solve the step in
-a few matrix-vector products instead of O(N^3) work.  The residual and the
-Jacobian are built in row blocks, and both solves take the Jacobian as
-filled, so it is the only N x N array on either path.  The models differ
-only in theta and theta', each coded on its own, so `duality_check`
+a few matrix-vector products instead of O(N^3) work.
+
+Row blocks.  The log form, the Jacobian fill and the product-form check
+`bethe_residuals` run over the rows j of their pairwise arrays in blocks
+of RESIDUAL_BLOCK_ROWS.  From SPLIT_MIN_BLOCKS blocks on, each pass splits
+its blocks into contiguous groups, one per CPU the process may run on
+(`os.sched_getaffinity`; there is no setting): the calling thread runs the
+first group and worker threads the others, started on first use, one set
+per process (a forked child starts its own).  Each row is computed by one
+thread with the same operations, so the bits do not depend on the split.
+theta and theta' act in place: the log form and the check work in per-group
+scratch blocks that the calling thread allocates once per solve (once per
+call of the check), and the Jacobian fill writes theta' straight into J's
+rows, so the workers allocate nothing of size N.  J is still the only
+N x N array on either path, allocated once per solve on pages of its own,
+and both solves take it as filled.  The models
+differ only in theta and theta', each coded on its own, so `duality_check`
 compares two independent codings of the same equation; `_log_form` and
 `_newton_step` evaluate both under one float-range policy (the comment
-above `_log_form`).
+above `_log_form`), which each group enters itself, as numpy's error state
+is per thread.
 
 Schroedinger probe.  `schrodinger_residual` takes a wavefunction, as
 `bc_residual` does, and runs the same recursion at 40 mpmath digits: N^2
@@ -98,6 +112,7 @@ import functools
 import math
 import numbers
 import operator
+import os
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -124,10 +139,18 @@ __all__ = [
 MAX_PARTICLES_ENUMERATED = 8
 
 # rows of an N x N pairwise array evaluated at once, in the log-form
-# residual, the Newton Jacobian fill and the product-form check: bounds the
-# temporaries to a few RESIDUAL_BLOCK_ROWS x N arrays (0.5 MB of float64 or
-# 1 MB of complex at N = 1024, where one N x N complex matrix takes 16 MB)
+# residual, the Newton Jacobian fill and the product-form check: each thread
+# works through its rows one block at a time in a scratch block of this many
+# rows (0.5 MB of float64 or 1 MB of complex per block at N = 1024, where one
+# N x N complex matrix takes 16 MB), and the Jacobian fill in J's own rows
 RESIDUAL_BLOCK_ROWS = 64
+
+# fewest row blocks whose passes are split across the CPUs the process may
+# run on.  A split costs a hand-off to the worker threads per pass: on a
+# 2-core x86-64 machine (40 interleaved solves, lam = 1, density 1) the
+# split solve took 15% longer at 4 blocks (N = 256), from 6% longer to 17%
+# less at 5-7 blocks, and 27% less at 8 blocks (N = 512) than one thread
+SPLIT_MIN_BLOCKS = 8
 
 # largest N whose Newton step is a dense LU solve; above it Jacobi-
 # preconditioned CG is faster.  Per step on one BLAS thread of a 2-core
@@ -394,10 +417,95 @@ def ground_state_quantum_numbers(n: int) -> tuple[float, ...]:
     return tuple(j - (n + 1) / 2.0 for j in range(1, n + 1))
 
 
-def _row_blocks(n: int):
-    # the row slices of an N x N pairwise array, RESIDUAL_BLOCK_ROWS at a time
-    return (slice(start, start + RESIDUAL_BLOCK_ROWS)
-            for start in range(0, n, RESIDUAL_BLOCK_ROWS))
+def _row_blocks(rows: range):
+    # the row slices of a group of rows, RESIDUAL_BLOCK_ROWS at a time
+    return (slice(start, min(start + RESIDUAL_BLOCK_ROWS, rows.stop))
+            for start in range(rows.start, rows.stop, RESIDUAL_BLOCK_ROWS))
+
+
+def _row_groups(n: int) -> list[range]:
+    # contiguous runs of whole row blocks, one per CPU the process may run on
+    # from SPLIT_MIN_BLOCKS blocks on, a single run below that
+    blocks = -(-n // RESIDUAL_BLOCK_ROWS)
+    count = 1 if blocks < SPLIT_MIN_BLOCKS else min(blocks, _this_crew().cpus)
+    edges = [min(n, RESIDUAL_BLOCK_ROWS * (blocks * g // count)) for g in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _outcome(task) -> BaseException | None:
+    try:
+        task()
+    except BaseException as error:
+        return error
+    return None
+
+
+def _serve(inbox) -> None:
+    # a worker thread's loop; it drops each task before reporting it done,
+    # so no array a task reaches outlives the caller's pass
+    while True:
+        index, task, done = inbox.get()
+        outcome = _outcome(task)
+        del task
+        done.put((index, outcome))
+
+
+class _Crew:
+    # the worker threads of one process, started on first use: one fewer than
+    # the CPUs it may run on (read once), as the calling thread runs the
+    # first group.  A forked child inherits the object but not the threads,
+    # so each process makes its own (`_this_crew`)
+    def __init__(self):
+        import threading
+
+        self.cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+        self.lock = threading.Lock()   # guards starting the threads
+        self.inboxes = []
+
+    def run(self, tasks) -> None:
+        # tasks[0] on the calling thread and tasks[i] on worker i; returns
+        # when all are done and raises the exception of the first task that
+        # failed.  Calls from several program threads at once queue behind
+        # each other at the workers, each waiting on its own `done`
+        import queue
+        import threading
+
+        with self.lock:
+            while len(self.inboxes) < len(tasks) - 1:
+                self.inboxes.append(queue.SimpleQueue())
+                threading.Thread(target=_serve, args=(self.inboxes[-1],), daemon=True,
+                                 name="momgas-rows").start()
+        done = queue.SimpleQueue()
+        for index, inbox in enumerate(self.inboxes[:len(tasks) - 1], 1):
+            inbox.put((index, tasks[index], done))
+        outcomes = [_outcome(tasks[0])] + [None] * (len(tasks) - 1)
+        for _ in tasks[1:]:
+            index, outcome = done.get()
+            outcomes[index] = outcome
+        for error in outcomes:
+            if error is not None:
+                raise error
+
+
+_crews = {}   # pid -> _Crew
+
+
+def _this_crew() -> _Crew:
+    # setdefault is atomic, so threads that race here share one crew
+    crew = _crews.get(os.getpid())
+    return crew if crew is not None else _crews.setdefault(os.getpid(), _Crew())
+
+
+def _on_groups(groups: list[range], work) -> None:
+    # work(g, rows) for each group g of `_row_groups`: in the calling thread
+    # alone for one group, else split across the crew.  Each row is computed
+    # by one thread with the same operations either way, so the bits do not
+    # depend on the split
+    if len(groups) == 1:
+        work(0, groups[0])
+    else:
+        _this_crew().run([functools.partial(work, g, rows) for g, rows in enumerate(groups)])
 
 
 def _jacobi_pcg(J: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -436,34 +544,48 @@ def _jacobi_pcg(J: np.ndarray, b: np.ndarray) -> np.ndarray:
 # the step: the roots are the zeros of the log form, which theta alone fixes.
 
 
-def _log_form(k: np.ndarray, I: np.ndarray, L: float, delta: float, theta) -> np.ndarray:
-    # k_j L - 2 pi I_j - delta + sum_l theta(k_j - k_l), summed in row blocks
+def _log_form(k: np.ndarray, I: np.ndarray, L: float, delta: float, theta,
+              groups: list[range], scratch: list[np.ndarray]) -> np.ndarray:
+    # k_j L - 2 pi I_j - delta + sum_l theta(k_j - k_l), summed in row blocks;
+    # group g forms its differences and theta in place in scratch[g]
     import numpy as np
 
     out = k * L - 2.0 * math.pi * I - delta
-    with np.errstate(over="ignore"):
-        for rows in _row_blocks(len(k)):
-            out[rows] += theta(k[rows, None] - k[None, :]).sum(axis=1)
+
+    def work(g, rows):
+        with np.errstate(over="ignore"):
+            for block in _row_blocks(rows):
+                u = scratch[g][:block.stop - block.start]
+                np.subtract(k[block, None], k[None, :], out=u)
+                theta(u)
+                out[block] += u.sum(axis=1)
+
+    _on_groups(groups, work)
     return out
 
 
-def _newton_step(k: np.ndarray, f: np.ndarray, L: float, theta_prime, it: int) -> np.ndarray:
+def _newton_step(k: np.ndarray, f: np.ndarray, L: float, theta_prime, it: int,
+                 groups: list[range], J: np.ndarray) -> np.ndarray:
     # full Newton step -J^{-1} f with J = diag(L + sum_l a_jl) - a,
     # a_jl = theta'(k_j - k_l) and a_jj = 0: a dense LU solve up to
     # DIRECT_SOLVE_MAX, Jacobi-preconditioned CG above (J is SPD, see the
-    # module docstring).  J is filled in place one row block at a time, is
-    # the only N x N array on either path, and is freed on return, before
-    # the damping loop evaluates the residual
+    # module docstring).  J is filled in place one row block at a time and
+    # is the only N x N array on either path
     import numpy as np
 
     n = len(k)
-    J = np.empty((n, n))
-    with np.errstate(over="ignore", divide="ignore"):
-        for rows in _row_blocks(n):
-            block, square = J[rows], J[rows, rows]
-            np.negative(theta_prime(k[rows, None] - k[None, :]), out=block)
-            np.fill_diagonal(square, 0.0)
-            np.fill_diagonal(square, L - block.sum(axis=1))
+
+    def work(g, rows):
+        with np.errstate(over="ignore", divide="ignore"):
+            for block in _row_blocks(rows):
+                a, square = J[block], J[block, block]
+                np.subtract(k[block, None], k[None, :], out=a)
+                theta_prime(a)
+                np.negative(a, out=a)
+                np.fill_diagonal(square, 0.0)
+                np.fill_diagonal(square, L - a.sum(axis=1))
+
+    _on_groups(groups, work)
     if n > DIRECT_SOLVE_MAX:
         return _jacobi_pcg(J, -f)
     try:
@@ -478,8 +600,24 @@ def _newton_log_form(I: np.ndarray, L: float, delta: float, theta, theta_prime,
                      tol: float, max_iter: int) -> np.ndarray:
     import numpy as np
 
+    n = len(I)
+    groups = _row_groups(n)
+    scratch = [np.empty((min(n, RESIDUAL_BLOCK_ROWS), n)) for _ in groups]
+    # J of more than one row block on pages mapped for this solve alone,
+    # faulted in by the mapping call: freed, they go back to the OS.  From
+    # malloc's heap, J would leave an N x N hole that any small array
+    # allocated later can pin, and the next large allocation would grow the
+    # heap: 4 of 10 ring benchmark runs peaked 7-13 MB higher that way.  A
+    # mapping costs about 10 us, a few percent of a solve of one block
+    if n <= RESIDUAL_BLOCK_ROWS:
+        J = np.empty((n, n))
+    else:
+        import mmap
+
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+        J = np.frombuffer(mmap.mmap(-1, n * n * 8, flags=flags)).reshape(n, n)
     k = (2.0 * math.pi * I + delta) / L   # free-model initial guess
-    f = _log_form(k, I, L, delta, theta)
+    f = _log_form(k, I, L, delta, theta, groups, scratch)
     for it in range(max_iter + 1):
         norm0 = np.max(np.abs(f))
         if norm0 <= tol:
@@ -487,12 +625,12 @@ def _newton_log_form(I: np.ndarray, L: float, delta: float, theta, theta_prime,
         if it == max_iter:
             raise ConvergenceError(
                 f"Newton iteration did not reach residual {tol:g} in {max_iter} steps")
-        step = _newton_step(k, f, L, theta_prime, it)
+        step = _newton_step(k, f, L, theta_prime, it, groups, J)
         scale = 1.0
         # step halving until the residual norm decreases
         for _ in range(60):
             trial = k + scale * step
-            ftrial = _log_form(trial, I, L, delta, theta)
+            ftrial = _log_form(trial, I, L, delta, theta, groups, scratch)
             if np.max(np.abs(ftrial)) < norm0:
                 break
             scale *= 0.5
@@ -580,8 +718,19 @@ def solve_bethe(n: int, L: float, lam: float, quantum_numbers=None,
         )
     eta = parity_rule_eta(n) if eta is None else _validate_eta(eta)
     delta = eta - parity_rule_eta(n)
-    theta = lambda u: 2.0 * np.arctan(lam * u)
-    theta_prime = lambda u: 2.0 * (lam / (1.0 + (lam * u) ** 2))
+
+    def theta(u):   # u <- 2 arctan(lam u), in place
+        u *= lam
+        np.arctan(u, out=u)
+        u *= 2.0
+
+    def theta_prime(u):   # u <- 2 (lam / (1 + (lam u)^2)), in place
+        u *= lam
+        np.square(u, out=u)
+        u += 1.0
+        np.divide(lam, u, out=u)
+        u *= 2.0
+
     return _solve_ring(n, L, eta, delta, quantum_numbers, theta, theta_prime,
                        tol, max_iter, "fermion", lam)
 
@@ -600,8 +749,18 @@ def solve_lieb_liniger(n: int, L: float, c: float, eta: float = 0.0,
     if c <= 0:
         raise ValueError("c must be positive (repulsive delta gas)")
     eta = _validate_eta(eta)
-    theta = lambda u: 2.0 * np.arctan(u / c)
-    theta_prime = lambda u: 2.0 * (c / (c * c + u * u))
+
+    def theta(u):   # u <- 2 arctan(u / c), in place
+        u /= c
+        np.arctan(u, out=u)
+        u *= 2.0
+
+    def theta_prime(u):   # u <- 2 (c / (c c + u u)), in place
+        np.square(u, out=u)
+        u += c * c
+        np.divide(c, u, out=u)
+        u *= 2.0
+
     return _solve_ring(n, L, eta, eta, quantum_numbers, theta, theta_prime,
                        tol, max_iter, "boson", c)
 
@@ -615,12 +774,14 @@ def bethe_residuals(state: BetheState) -> np.ndarray:
 
     The product form shares no code with the log-form Newton solver, so it
     checks the roots independently.  Rows j are evaluated in blocks of
-    RESIDUAL_BLOCK_ROWS: each block builds its factor matrix, sets the
-    l = j entries to exactly 1 and multiplies each row from left to right,
-    so temporaries stay O(RESIDUAL_BLOCK_ROWS * N) and no N x N array is
-    allocated for N above the block size.  The modulus is taken with
-    hypot, which rounds like the scalar complex abs; the result is bit for
-    bit that of the plain double loop over j and l.
+    RESIDUAL_BLOCK_ROWS, split across the CPUs the process may run on as the
+    solver's passes are (module docstring): each block builds its factor
+    matrix in its group's scratch, two RESIDUAL_BLOCK_ROWS x N complex
+    blocks, sets the l = j entries to exactly 1 and multiplies each row from
+    left to right, so no N x N array is allocated for N above the block
+    size.  The modulus is taken with hypot, which rounds like the scalar
+    complex abs; the result is bit for bit that of the plain double loop
+    over j and l, whatever the split.
     """
     import numpy as np
 
@@ -635,14 +796,25 @@ def bethe_residuals(state: BetheState) -> np.ndarray:
         c = state.coupling
         prefactor = phase
     out = np.empty(n)
-    for rows in _row_blocks(n):
-        d = k[rows, None] - k[None, :]
-        factors = d + 1j * c
-        factors /= d - 1j * c
-        np.fill_diagonal(factors[:, rows], 1.0)
-        rhs = prefactor * factors.prod(axis=1)
-        z = np.exp(1j * k[rows] * L) / rhs - 1.0
-        out[rows] = np.hypot(z.real, z.imag)
+    groups = _row_groups(n)
+    scratch = [np.empty((2, min(n, RESIDUAL_BLOCK_ROWS), n), complex) for _ in groups]
+    shift = 1j * c
+
+    def work(g, rows):
+        for block in _row_blocks(rows):
+            num, den = scratch[g][:, :block.stop - block.start]
+            # d + 0j, then d + i c and d - i c: the operations of `d + 1j * c`
+            np.subtract(k[block, None], k[None, :], out=num.real)
+            num.imag = 0.0
+            np.subtract(num, shift, out=den)
+            num += shift
+            num /= den
+            np.fill_diagonal(num[:, block], 1.0)
+            rhs = prefactor * num.prod(axis=1)
+            z = np.exp(1j * k[block] * L) / rhs - 1.0
+            out[block] = np.hypot(z.real, z.imag)
+
+    _on_groups(groups, work)
     return out
 
 

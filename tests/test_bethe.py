@@ -3,9 +3,13 @@
 import cmath
 import functools
 import itertools
+import json
 import math
+import os
 import random
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -832,6 +836,157 @@ def test_newton_memory_stays_below_one_and_a_half_matrices(solver):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n * n * np.dtype(float).itemsize
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_newton_peak_rss_stays_below_one_and_a_half_matrices(fresh_python):
+    # the Jacobian lives on pages mapped for the solve, which tracemalloc
+    # does not see: the process's own high-water mark counts them (VmHWM,
+    # as ru_maxrss carries the parent's peak over fork and exec)
+    n = 2048
+    code = ("import re\n"
+            "from momgas.bethe import solve_bethe\n"
+            "def peak():\n"
+            "    return int(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])\n"
+            "solve_bethe(16, 16.0, 1.0)\n"
+            "before = peak()\n"
+            f"solve_bethe({n}, {n}.0, 1.0, tol=1e-11)\n"
+            "print(1024 * (peak() - before))\n")
+    proc = fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert n * n * 8 <= int(proc.stdout) < 1.5 * n * n * 8
+
+
+# the row-block passes are split across the CPUs the process may run on;
+# a process pinned to one CPU runs every row in the calling thread
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_needs_two_cpus = pytest.mark.skipif(_CPUS < 2, reason="needs two CPUs to compare a split pass")
+
+_OUTCOME = """
+import hashlib, json, math, os, warnings
+from momgas import bethe
+from momgas.bethe import bethe_residuals, ground_state_quantum_numbers, solve_bethe, solve_lieb_liniger
+
+def outcome(solve, *args, **kwargs):
+    # the state's repr and the bytes of its residuals, or the error's text
+    try:
+        state = solve(*args, **kwargs)
+        residuals = bethe_residuals(state)
+    except Exception as error:
+        return f"{type(error).__name__}: {error}"
+    return repr(state) + " " + hashlib.sha256(residuals.tobytes()).hexdigest()
+"""
+
+
+def _split_and_one_cpu(fresh_python, cases):
+    # the outcomes of `cases` (code that fills OUTCOMES) in a fresh process on
+    # every CPU of this one and in a fresh process pinned to a single CPU
+    # before momgas is imported.  Both run BLAS on one thread: the CG step's
+    # matrix-vector product is BLAS, and OpenBLAS's own thread count changes
+    # its rounding at some N (N = 1500 among them), split or not
+    runs = []
+    for pin in ("", "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"):
+        proc = fresh_python("import os\nos.environ['OPENBLAS_NUM_THREADS'] = '1'\n" + pin
+                            + _OUTCOME + cases
+                            + "print(json.dumps([len(bethe._row_groups(1024)), OUTCOMES]))")
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    (groups, split), (one_group, one_cpu) = runs
+    assert (groups, one_group) == (min(_CPUS, 1024 // RESIDUAL_BLOCK_ROWS), 1)
+    return split, one_cpu
+
+
+@_needs_two_cpus
+def test_a_split_pass_gives_the_bits_of_one_cpu(fresh_python):
+    # both models and eta, a ground and an excited block, at and above
+    # SPLIT_MIN_BLOCKS row blocks
+    assert 512 // RESIDUAL_BLOCK_ROWS >= bethe.SPLIT_MIN_BLOCKS
+    split, one_cpu = _split_and_one_cpu(fresh_python, """
+OUTCOMES = []
+for n in (512, 1024, 1500):
+    ground = list(ground_state_quantum_numbers(n))
+    excited = ground[:-1] + [ground[-1] + 2.0]
+    for eta in (0.0, math.pi):
+        for qn in (ground, excited):
+            OUTCOMES.append(outcome(solve_bethe, n, n / 0.7, 0.8, quantum_numbers=qn, eta=eta,
+                                    tol=1e-11))
+            OUTCOMES.append(outcome(solve_lieb_liniger, n, n / 0.7, 1.25, eta=eta,
+                                    quantum_numbers=qn, tol=1e-11))
+""")
+    assert len(split) == 24 and all(o.startswith("BetheState(") for o in split), split
+    assert split == one_cpu
+
+
+@_needs_two_cpus
+def test_worker_threads_keep_the_float_range_policy(fresh_python):
+    # theta' overflows ((lam u)^2) or divides by zero (c^2 underflows on the
+    # diagonal) on the first step; numpy's error state is per thread, so a
+    # worker that did not enter its own would raise the warning here
+    split, one_cpu = _split_and_one_cpu(fresh_python, """
+with warnings.catch_warnings():
+    warnings.simplefilter("error")
+    OUTCOMES = [outcome(solve_bethe, 600, 600.0, 1e200, tol=1e-11),
+                outcome(solve_lieb_liniger, 600, 600.0, 1e-200, tol=1e-11)]
+""")
+    assert not any("Warning" in o for o in split), split
+    assert split == one_cpu
+
+
+def test_program_threads_that_solve_at_once_share_the_crew():
+    # six program threads at once, switching often, each sending split
+    # passes to the same workers: every one gets its own roots and
+    # residuals, as when solving alone
+    def outcome(n, lam):
+        state = solve_bethe(n, float(n), lam, tol=1e-11)
+        return state.momenta, bethe_residuals(state).tobytes()
+
+    cases = [(n, lam) for n in (520, 600, 700) for lam in (0.3, 2.0)]
+    alone = [outcome(*case) for case in cases]
+    results = {}
+
+    def solve(index):
+        results[index] = outcome(*cases[index])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(index,)) for index in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [results[index] for index in range(len(cases))] == alone
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_solves_on_threads_of_its_own(fresh_python):
+    # the child inherits the crew object but not its threads; it must start
+    # its own and finish, not wait on the parent's
+    code = """
+import os, sys, time, warnings
+from momgas import bethe
+warnings.simplefilter("ignore", DeprecationWarning)   # fork() with threads running
+first = repr(bethe.solve_bethe(1024, 1024.0, 1.0, tol=1e-11))
+pid = os.fork()
+if pid == 0:
+    again = repr(bethe.solve_bethe(1024, 1024.0, 1.0, tol=1e-11))
+    own = len(bethe._crews[os.getpid()].inboxes) == len(bethe._row_groups(1024)) - 1
+    os._exit(0 if again == first and own else 1)
+deadline = time.monotonic() + 60
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(print(os.waitstatus_to_exitcode(status)))
+    time.sleep(0.05)
+os.kill(pid, 9)
+os.waitpid(pid, 0)
+print("child hung")
+"""
+    proc = fresh_python(code)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "0"), proc.stderr
 
 
 def test_excited_block_and_explicit_eta():

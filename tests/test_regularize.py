@@ -335,10 +335,12 @@ def test_quadrature_above_its_modulus_bound_is_a_convergence_error():
 # ring solvers load numpy, the Gaudin checks mpmath, the exact algebra
 # `momgas.yang_baxter` with fractions (and decimal, which fractions imports),
 # and the two-body closed forms, the non-relativistic scans and maps and the
-# regularized integral none of them.  No code path loads scipy.  A module
-# absent from sys.modules after the run was never imported, so the table
-# also shows that each subcommand runs with the others unimportable
-HEAVY = ("decimal", "fractions", "momgas.yang_baxter", "mpmath", "numpy", "scipy")
+# regularized integral none of them.  No code path loads scipy, and `queue`,
+# which the ring solvers' worker threads use, loads only when a pass is
+# split.  A module absent from sys.modules after the run was never imported,
+# so the table also shows that each subcommand runs with the others
+# unimportable
+HEAVY = ("decimal", "fractions", "momgas.yang_baxter", "mpmath", "numpy", "queue", "scipy")
 _EXACT = ("decimal", "fractions", "momgas.yang_baxter")
 FOOTPRINT = {
     "two-body": (), "bound-state": (), "yb-check": _EXACT, "delta-control": _EXACT,
