@@ -773,11 +773,11 @@ def _dense_newton_reference(I, L, delta, theta, theta_prime, tol, max_iter):
     return k, max_iter
 
 
-def _solve_both_ways(model, n, L, coupling, eta, qn, tol):
+def _solve_both_ways(model, n, L, coupling, eta, qn, tol, max_iter=None):
     # the dense reference's roots, from the same theta expressions and branch
     # offset as solve_bethe / solve_lieb_liniger, and the library's state
-    # within the reference's number of Newton steps (a step solved less
-    # accurately would need more and raise ConvergenceError)
+    # within max_iter Newton steps, by default the reference's number (a step
+    # solved less accurately would need more and raise ConvergenceError)
     I = np.asarray(qn, dtype=float)
     if model == "fermion":
         delta = eta - (math.pi if n % 2 else 0.0)
@@ -792,7 +792,7 @@ def _solve_both_ways(model, n, L, coupling, eta, qn, tol):
         solve = lambda steps: solve_lieb_liniger(n, L, coupling, eta=eta, quantum_numbers=qn,
                                                  tol=tol, max_iter=steps)
     reference, steps = _dense_newton_reference(I, L, delta, theta, theta_prime, tol, 200)
-    return solve(max(steps, 1)), reference
+    return solve(max(steps, 1) if max_iter is None else max_iter), reference
 
 
 def test_direct_solve_roots_equal_the_dense_reference_bit_for_bit():
@@ -822,6 +822,58 @@ def test_conjugate_gradient_roots_match_the_dense_reference(n):
         k = np.asarray(state.momenta)
         assert np.max(np.abs(k - reference)) <= 1e-13 * np.max(np.abs(k)), (model, coupling, rho)
         assert bethe_residuals(state).max() <= 1e-9, (model, coupling, rho)
+
+
+@pytest.mark.parametrize("n", [129, 300, 700])
+def test_nested_start_roots_lie_within_the_certified_bound_of_the_free_start(n):
+    # above DIRECT_SOLVE_MAX Newton starts from the coarse ring's roots, the
+    # reference from the free momenta.  Both end at ||F|| <= tol, and every
+    # row of the Newton matrix is diagonally dominant by L, so the two root
+    # sets lie within 2 tol / L of each other
+    tol, L = 1e-11, n / 0.7
+    ground = list(ground_state_quantum_numbers(n))
+    # a hole in the middle and a particle above the top
+    excited = ground[:n // 2] + ground[n // 2 + 1:] + [ground[-1] + 1.0]
+    for (model, coupling), eta, qn in itertools.product(
+            (("fermion", 2.0), ("boson", 0.5)), (0.0, math.pi), (ground, excited)):
+        state, reference = _solve_both_ways(model, n, L, coupling, eta, qn, tol, max_iter=200)
+        gap = np.max(np.abs(np.asarray(state.momenta) - reference))
+        assert gap <= 2.0 * tol / L, (model, eta, qn is ground, gap * L / tol)
+
+
+def _caller_ring_steps(n, lam):
+    # Newton steps taken in the caller's ring of a solve_bethe at density 1,
+    # read as the log-form evaluations of length N less the one at the start
+    # (every step evaluates at least one trial)
+    calls = []
+    log_form = bethe._log_form
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bethe, "_log_form",
+                      lambda k, *args: calls.append(len(k)) or log_form(k, *args))
+        state = solve_bethe(n, float(n), lam, tol=1e-11)
+    return calls.count(n) - 1, state
+
+
+def test_the_caller_ring_starts_from_the_coarse_ring_roots(monkeypatch):
+    # from the free momenta the N = 1024 ring takes 5 steps at lam = 1 and 7
+    # at lam = 10; from the coarse ring's interpolated roots it takes 2 and 3
+    n = 1024
+    for lam, most in ((10.0, 3), (1.0, 2)):
+        steps, state = _caller_ring_steps(n, lam)
+        assert 1 <= steps <= most, (lam, steps)
+        assert bethe_residuals(state).max() <= 1e-9
+    # a coarse ring that does not converge leaves the caller the free start
+    solve_ring = bethe._newton_log_form
+
+    def failing_coarse_rings(I, *args):
+        if len(I) < n:
+            raise ConvergenceError("coarse ring")
+        return solve_ring(I, *args)
+
+    monkeypatch.setattr(bethe, "_newton_log_form", failing_coarse_rings)
+    steps, free_start = _caller_ring_steps(n, 1.0)
+    assert steps == 5
+    assert np.max(np.abs(np.subtract(free_start.momenta, state.momenta))) <= 2e-11 / n
 
 
 @pytest.mark.parametrize("solver", [solve_bethe, solve_lieb_liniger])
@@ -1176,7 +1228,7 @@ def _strong_coupling_energy_slope(n):
 
 def _follows_the_energy_slope(roots_at, L, slope):
     # E lam L / (N (N - 1)) - 1 against slope L / lam: the ratio is 1 up to
-    # the next order, measured -N L / (30 lam) at N = 2, 3, 4 and L = 4, 10
+    # the next order, measured -N L / (30 lam) at N = 2, 3, 4, 64 and L = 4, 10
     for lam in (1e3, 1e4, 1e5):
         k = roots_at(lam)
         n = len(k)
@@ -1186,12 +1238,14 @@ def _follows_the_energy_slope(roots_at, L, slope):
     return True
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 64])
 def test_strong_coupling_energy_has_the_derived_first_correction(n):
     # E lam L / (N (N - 1)) = 1 - L / (12 lam) + O(lam^-2): the slope is
-    # derived at each N, and the ground-block roots follow it in two boxes
-    slope = _strong_coupling_energy_slope(n)
-    assert slope == pytest.approx(-1.0 / 12.0, rel=1e-15)
+    # derived at N = 2, 3 and 4 (sympy's linear solve grows fast with N), and
+    # the ground-block roots follow it in two boxes, at N = 64 as well
+    slope = -1.0 / 12.0
+    if n <= 4:
+        assert _strong_coupling_energy_slope(n) == pytest.approx(slope, rel=1e-15)
     eta, I = parity_rule_eta(n), np.asarray(ground_state_quantum_numbers(n))
     for L in (4.0, 10.0):
         roots = lambda lam: np.asarray(solve_bethe(n, L, lam, eta=eta).momenta)
@@ -1334,6 +1388,25 @@ def test_a_singular_newton_matrix_names_its_cause():
     message = str(err.value)
     assert message.startswith("Newton matrix is singular in float64 at step ")
     assert "L = 0.925155 is lost against the largest row sum of theta', " in message
+
+
+def test_a_singular_newton_matrix_on_the_conjugate_gradient_path_names_its_cause():
+    # N = 200 roots 2^-100 apart at lam = 2^65: (lam u)^2 < 2^-53 rounds
+    # away, so theta' is 2 lam = 2^66 on every pair and its row sum
+    # 199 * 2^66 hides L = 1.  J is then exactly singular, with J 1 = 0, and
+    # f along J's diagonal makes CG's first curvature p.Jp exactly 0
+    n, lam, L = 200, 2.0 ** 65, 1.0
+    assert n > bethe.DIRECT_SOLVE_MAX
+    k = np.arange(n) * 2.0 ** -100
+
+    def theta_prime(u):   # the fermion theta', in place
+        u[...] = 2.0 * lam / (1.0 + (lam * u) ** 2)
+
+    f = np.full(n, -199.0 * 2.0 ** 66 * 2.0 ** -70)
+    with pytest.raises(ConvergenceError) as err:
+        bethe._newton_step(k, f, L, theta_prime, 4, bethe._row_groups(n), np.empty((n, n)))
+    assert str(err.value) == ("Newton matrix is singular in float64 at step 5: L = 1 is lost "
+                              "against the largest row sum of theta', 1.47e+22")
 
 
 @pytest.mark.parametrize("max_iter", [0, -3])
