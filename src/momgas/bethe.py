@@ -74,18 +74,22 @@ p.Jp that is not positive and finite is the same singular J.
 
 Nested start.  Up to DIRECT_SOLVE_MAX Newton starts from the free momenta
 (2 pi I_j + delta) / L.  Above it, it starts from the roots of a coarse
-ring that keeps every fourth equation, centred (sub = I[s::4]):
+ring of M = N // 4 equations, one at the midpoint c = (m + 1/2) r - 1/2 of
+each of M equal blocks of the index range [-1/2, N - 1/2], r = N / M, with
+the quantum numbers I_c interpolated linearly there:
 
-    k (L/4) = 2 pi (I_sub / 4) + delta/4 - sum_{l in sub} theta(k - k_l),
+    k (L/r) = 2 pi (I_c / r) + delta/r - sum_{l in coarse} theta(k - k_l),
 
-the same log form, since a sum over all N roots is about 4 times the sum
-over the subsample (grid sequencing: Knoll and Keyes, J. Comput. Phys.
-193, 357 (2004)).  The coarse ring is solved the same way, so the
-recursion stops at the first ring of DIRECT_SOLVE_MAX or fewer equations,
-which starts free and steps by LU (N = 1024: 256, then 64).  Its roots,
-interpolated linearly in I and extrapolated linearly past the end nodes,
-start the finer ring, which then takes 1 to 3 steps where the free start
-took 2 to 7 (N = 300 and 1024, lam = 0.01 to 10).  The log form is the
+the same log form, since r times a sum over the M coarse roots is the
+midpoint rule for the sum over all N (grid sequencing: Knoll and Keyes,
+J. Comput. Phys. 193, 357 (2004)).  The coarse ring is solved the same
+way, so the recursion stops at the first ring of DIRECT_SOLVE_MAX or fewer
+equations, which starts free and steps by LU (N = 1024: 256, then 64).  Its
+roots, interpolated linearly in I and extrapolated linearly past the end
+nodes, start the finer ring with a log-form residual of about 0.07 at
+lam = 1 and 0.4 at lam = 10, largest at the two end roots (N = 1000 to
+1025, density 2), which then takes 1 to 3 steps where the free start took
+2 to 7 (N = 300 and 1024, lam = 0.01 to 10).  The log form is the
 gradient of a convex action (Yang and Yang, J. Math. Phys. 10, 1115
 (1969)), so the start changes the steps, not the roots.  A coarse ring
 that raises ConvergenceError leaves the free start, and tol and max_iter
@@ -113,16 +117,17 @@ is per thread.
 
 Schroedinger probe.  `schrodinger_residual` takes a wavefunction, as
 `bc_residual` does, and runs the same recursion at 40 mpmath digits: N^2
-exponentials exp(i k_m y_s) give the per-slot phases, and a +-h shift of
+phases exp(i k_m y_s), each the cosine and sine of the exact product
+k_m y_s from mpmath's kernel, give the per-slot phases, and a +-h shift of
 slot s rescales each momentum's terms there, so all N second differences
-come from the slot sums W.  The recursion runs on Python integers in fixed
-point, 64 bits finer than the working precision, so only the N^2 phases
-and the final O(N^2) combination are mpmath operations; its error bound,
-fewer than 2^21 units of the last fixed-point bit at N = 8, is derived in
-the function's docstring.  `gaudin_residual_scan` builds one state per
-draw and passes it to both checks.  numpy is imported by the ring
-solvers and mpmath by the probe, each when it runs, so the ring solvers
-load numpy alone and the Gaudin checks mpmath alone.
+come from the slot sums W.  The recursion and the O(N^2) tail run on
+Python integers in fixed point, 64 bits finer than the working precision:
+no mpc value is formed, and the residual is one int / int division.  Its
+error bound, fewer than 2^21 units of the last fixed-point bit at N = 8,
+is derived in the function's docstring.  `gaudin_residual_scan` builds one
+state per draw and passes it to both checks.  numpy is imported by the
+ring solvers and mpmath by the probe, each when it runs, so the ring
+solvers load numpy alone and the Gaudin checks mpmath alone.
 """
 
 from __future__ import annotations
@@ -630,9 +635,13 @@ def _newton_start(I: np.ndarray, L: float, delta: float, theta, theta_prime,
     n = len(I)
     if n <= DIRECT_SOLVE_MAX:
         return free
-    sub = I[(n - 1) % 4 // 2::4]   # centred: the end gaps differ by at most one
+    # N // 4 equations at the midpoints of equal blocks of the index range
+    # [-1/2, N - 1/2], each standing for r = N / M fine equations
+    m = n // 4
+    r = n / m
+    sub = np.interp((np.arange(m) + 0.5) * r - 0.5, np.arange(n), I)
     try:
-        coarse = _newton_log_form(sub / 4.0, L / 4.0, delta / 4.0, theta, theta_prime,
+        coarse = _newton_log_form(sub / r, L / r, delta / r, theta, theta_prime,
                                   tol, max_iter)
     except ConvergenceError:
         return free
@@ -931,6 +940,28 @@ def ground_state_scan(rho: float, lam: float, sizes) -> list[dict]:
 # diagnostics: residual scans used by the CLI and the acceptance suite
 
 
+def _fixed(v, frac: int) -> int:
+    # the mpf tuple v = (sign, mantissa, exponent, bits) times 2^frac,
+    # truncated toward zero: int(mp.ldexp(v, frac)) without an mpf
+    sign, man, exp, _ = v
+    man = int(man)   # an mpz under the gmpy backend
+    man = man << exp + frac if exp + frac >= 0 else man >> -(exp + frac)
+    return -man if sign else man
+
+
+def _fixed_phases(momenta, y, prec: int, frac: int) -> list[tuple[int, int]]:
+    # the phases exp(i k_m y_s), flat at m * N + s, as integer pairs scaled
+    # by 2^frac: cos and sin of the exact product k_m y_s rounded to nearest
+    # at prec bits, the values mp.exp(mp.mpc(0, k_m y_s)) takes there, each
+    # truncated toward zero
+    from mpmath.libmp import from_float, mpf_cos_sin, mpf_mul
+
+    ys = [from_float(v) for v in y]
+    return [(_fixed(c, frac), _fixed(s, frac))
+            for km in map(from_float, momenta)
+            for c, s in (mpf_cos_sin(mpf_mul(km, v), prec, "n") for v in ys)]
+
+
 def schrodinger_residual(wf: BetheWavefunction, x) -> float:
     """Relative free-Schroedinger residual of the wavefunction wf at x,
     probed with central second differences of step h = 1e-6.
@@ -941,27 +972,31 @@ def schrodinger_residual(wf: BetheWavefunction, x) -> float:
     gives W[s][m], the sum of the wedge terms with momentum m in slot s; chi
     is sum_m W[0][m].  A +-h shift of slot s multiplies those by
     exp(+-i k_m h), so the central difference is exactly D2_s chi =
-    sum_m W[s][m] (2 cos(k_m h) - 2) / h^2, evaluated as
-    -4 sin^2(k_m h / 2) / h^2.  Returns |sum_s D2_s chi + E chi| /
+    sum_m W[s][m] c_m, c_m = (2 cos(k_m h) - 2) / h^2, evaluated as
+    -4 sin^2(k_m h / 2) / h^2.  Returns the float |sum_s D2_s chi + E chi| /
     (sum_s |D2_s chi| + |E chi|), ~h^2 k^2 / 12 for a true eigenfunction.
     Every plane wave has energy E, so any pair ratios pass; the contact
     conditions (`bc_residual`) are what pin them.
 
-    The recursion runs in fixed point, on Python integers scaled by 2^F
-    with F = prec + 64 (prec the working precision in bits).  Say a computed
-    sum of n products of unimodular factors has bound c when it is off by
-    at most c n units of 2^-F.  The pair ratios and the phases convert with
-    under 2 units each (int truncates each component toward zero), and each
-    complex product truncates by >> F, adding under 2 units, so a product
-    of bounds c1 and c2 has the bound c1 + c2 + 2 and a sum keeps the
-    larger bound; the pair ratios (unimodular to 1e-12) and the phases keep
-    every product within 1e-10 of unit modulus, which moves these bounds by
-    less than a part in 1e9.  Then T(S, m) has the bound 4N - 6, its
-    product with the phase 4N - 2, F(S) 4N |S|, B(S) 4N (N - |S|), and each
-    of the (N - 1)! terms of W[s][m] 4N^2 + 2: W is off by fewer than
-    258 * 7! < 2^21 units at N = 8, below 2^(-prec - 43), less than one
-    rounding of a term-by-term mpmath sum.  W returns to mpmath as
-    integer * 2^-F.
+    All of it runs in fixed point, on Python integers scaled by 2^F with
+    F = prec + 64 (prec = 136 bits, the working precision of 40 digits); the
+    phases are cos and sin of the exact products k_m y_s at prec bits,
+    rounded to nearest (`_fixed_phases`).  Say a computed sum of n products
+    of unimodular factors has bound c when it is off by at most c n units
+    of 2^-F.  The pair ratios and the phases convert with under 2 units each
+    (int truncates each component toward zero), and each complex product
+    truncates by >> F, adding under 2 units, so a product of bounds c1 and
+    c2 has the bound c1 + c2 + 2 and a sum keeps the larger bound; the pair
+    ratios (unimodular to 1e-12) and the phases keep every product within
+    1e-10 of unit modulus, which moves these bounds by less than a part in
+    1e9.  Then T(S, m) has the bound 4N - 6, its product with the phase
+    4N - 2, F(S) 4N |S|, B(S) 4N (N - |S|), and each of the (N - 1)! terms
+    of W[s][m] 4N^2 + 2: W is off by fewer than 258 * 7! < 2^21 units at
+    N = 8, below 2^(-prec - 43).  The tail adds a few units against those
+    2^21: c_m, rounded at F + 8 bits, converts within 2 units (|k_m| < 8)
+    and the exact E within one, and each product W[s][m] c_m or E chi
+    (>> F) and each modulus (`math.isqrt`) truncates by under one unit.
+    The result is one int / int division, rounded once.
     """
     h = 1e-6
     xs = _checked_coords(wf, x)
@@ -970,54 +1005,48 @@ def schrodinger_residual(wf: BetheWavefunction, x) -> float:
         gap = min(abs(xs[a] - xs[b]) for a in range(n) for b in range(a + 1, n))
         if gap <= 4 * h:
             raise ValueError("coordinates too close for the finite-difference step")
-    import mpmath as mp
+    from mpmath.libmp import dps_to_prec, from_float, mpf_add, mpf_div, mpf_mul, mpf_sin
 
-    with mp.workdps(40):
-        hh = mp.mpf(h)
-        k = [mp.mpf(float(v)) for v in wf.momenta]
-        y = [mp.mpf(v) for v in sorted(xs)]
-        frac = mp.mp.prec + 64
+    prec = dps_to_prec(40)
+    frac = prec + 64
+    phases = _fixed_phases(wf.momenta, sorted(xs), prec, frac)
+    g = [[(int(math.ldexp(v.real, frac)), int(math.ldexp(v.imag, frac))) for v in row[:a]]
+         for a, row in enumerate(wf.pair_ratios)]
 
-        def fixed(v):
-            # int(mp.ldexp(v, frac)), read off v's (sign, mantissa, exponent)
-            sign, man, exp, _ = v._mpf_
-            man = man << exp + frac if exp + frac >= 0 else man >> -(exp + frac)
-            return -man if sign else man
+    def mul(u, v):
+        (ur, ui), (vr, vi) = u, v
+        return (ur * vr - ui * vi) >> frac, (ur * vi + ui * vr) >> frac
 
-        phases = [(fixed(z.real), fixed(z.imag))
-                  for km in k for z in (mp.exp(mp.mpc(0, km * ys)) for ys in y)]
-        g = [[(int(math.ldexp(v.real, frac)), int(math.ldexp(v.imag, frac))) for v in row[:a]]
-             for a, row in enumerate(wf.pair_ratios)]
+    def total(terms):
+        return tuple(map(sum, zip(*terms)))
 
-        def mul(u, v):
-            (ur, ui), (vr, vi) = u, v
-            return (ur * vr - ui * vi) >> frac, (ur * vi + ui * vr) >> frac
+    one = (1 << frac, 0)
+    forward, _, _, products = _passes(_pair_columns(g, one, mul), phases, 0, n - 1,
+                                      one, mul, total)
+    k = [from_float(v) for v in wf.momenta]
+    half, h2 = from_float(h / 2), mpf_mul(from_float(h), from_float(h))
+    # c_m = -4 sin^2(k_m h / 2) / h^2 (4 = 2^2 in the scale) and E, exact
+    factors = [-_fixed(mpf_div(mpf_mul(sk, sk), h2, frac + 8, "n"), frac + 2)
+               for sk in (mpf_sin(mpf_mul(km, half), frac + 8, "n") for km in k)]
+    energy = _fixed(functools.reduce(mpf_add, (mpf_mul(km, km) for km in k)), frac)
 
-        def total(terms):
-            return tuple(map(sum, zip(*terms)))
+    def scaled(z, c):
+        return (z[0] * c) >> frac, (z[1] * c) >> frac
 
-        one = (1 << frac, 0)
-        forward, _, _, products = _passes(_pair_columns(g, one, mul), phases, 0, n - 1,
-                                          one, mul, total)
-        w = []
-        for size, layer in enumerate(_layers(n)):
-            terms = list(map(mul, layer.below(forward[size]), products[size]))
-            w.append(_groups(layer.by_momentum(terms), math.comb(n - 1, size), total))
+    def modulus(z):
+        return math.isqrt(z[0] * z[0] + z[1] * z[1])
 
-        def to_mpc(z):
-            return mp.mpc((z[0], -frac), (z[1], -frac))
-
-        chi0 = to_mpc(total(w[0]))
-        half, h2 = hh / 2, hh * hh
-        d2_factor = [-4 * mp.sin(km * half) ** 2 / h2 for km in k]
-        e_tot = mp.fsum(km ** 2 for km in k)
-        num = e_tot * chi0
-        denom = abs(num)
-        for row in w:
-            d2 = mp.fsum(to_mpc(ws) * c for ws, c in zip(row, d2_factor))
-            num += d2
-            denom += abs(d2)
-        return float(abs(num) / denom)
+    w = []
+    for size, layer in enumerate(_layers(n)):
+        terms = list(map(mul, layer.below(forward[size]), products[size]))
+        w.append(_groups(layer.by_momentum(terms), math.comb(n - 1, size), total))
+    num = scaled(total(w[0]), energy)
+    denom = modulus(num)
+    for row in w:
+        d2 = total(map(scaled, row, factors))
+        num = total((num, d2))
+        denom += modulus(d2)
+    return modulus(num) / denom
 
 
 def gaudin_residual_scan(n: int, draws: int, seed: int = 0) -> list[dict]:

@@ -79,6 +79,8 @@ CLI_CASES = {
                             "--x=-0.5,0,0.5"],
     # the Schroedinger probe beyond N = 3, and the duality off the parity rule's N = 3
     "gaudin_check_n5": ["gaudin-check", "--n", "5", "--draws", "2", "--seed", "3"],
+    # the probe at the largest N (MAX_PARTICLES_ENUMERATED), CI's cold draw
+    "gaudin_check_n8": ["gaudin-check", "--n", "8", "--draws", "3", "--seed", "1"],
     "duality_n4_eta_pi": ["duality", "--n", "4", "--box", "10", "--lambda", "0.5",
                           "--eta", "pi"],
 }
