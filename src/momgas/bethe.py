@@ -140,7 +140,6 @@ import operator
 import os
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import ConvergenceError
@@ -295,7 +294,6 @@ def _passes(cols, phases, lo, hi, one, mul, total) -> tuple[list, list, list, li
     return forward, incs, back, products
 
 
-@dataclass
 class BetheWavefunction:
     """A fermion Bethe-ansatz wavefunction: momenta plus the pair ratios g
     of its wedge amplitudes, A_P / A_id = prod_{l<j} g[P_l][P_j], extended
@@ -309,15 +307,13 @@ class BetheWavefunction:
     """
     momenta: tuple[float, ...]
     pair_ratios: tuple[tuple[complex, ...], ...]
-    # T(S, m) of the recursion (`_pair_columns`), shared by every float sum
-    _columns: list = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.momenta = tuple(_require_finite(self.momenta, "momentum"))
+    def __init__(self, momenta, pair_ratios):
+        self.momenta = tuple(_require_finite(momenta, "momentum"))
         n = len(self.momenta)
         if n > MAX_PARTICLES_ENUMERATED:
             raise ValueError(f"N = {n} exceeds the particle guard ({MAX_PARTICLES_ENUMERATED})")
-        rows = tuple(tuple(complex(v) for v in row) for row in self.pair_ratios)
+        rows = tuple(tuple(complex(v) for v in row) for row in pair_ratios)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"pair_ratios must be an N x N matrix with N = {n}, got rows of "
                              f"lengths {[len(row) for row in rows]}")
@@ -331,7 +327,11 @@ class BetheWavefunction:
                 if abs(abs(v) - 1.0) > 1e-12:
                     raise ValueError(f"pair ratio g[{a}][{b}] is not unimodular: |g| = {abs(v)}")
         self.pair_ratios = rows
+        # T(S, m) of the recursion (`_pair_columns`), shared by every float sum
         self._columns = _pair_columns(rows, 1 + 0j, operator.mul)
+
+    def __repr__(self) -> str:
+        return f"BetheWavefunction(momenta={self.momenta!r}, pair_ratios={self.pair_ratios!r})"
 
     @property
     def n(self) -> int:
@@ -418,8 +418,7 @@ def eval_wavefunction(wf: BetheWavefunction, x) -> complex:
 # finite-ring Bethe equations
 
 
-@dataclass(frozen=True)
-class BetheState:
+class BetheState(NamedTuple):
     """A solved finite-ring Bethe state.
 
     `model` is "fermion" (momentum-dependent gas, coupling lam) or "boson"
@@ -834,7 +833,8 @@ def bethe_residuals(state: BetheState) -> np.ndarray:
     RESIDUAL_BLOCK_ROWS, split across the CPUs the process may run on as the
     solver's passes are (module docstring): each block builds its factor
     matrix in its group's scratch, two RESIDUAL_BLOCK_ROWS x N complex
-    blocks, sets the l = j entries to exactly 1 and multiplies each row from
+    blocks, sets the l = j entries of both to 1, so that their quotient is
+    exactly 1 at any coupling, divides, and multiplies each row from
     left to right, so no N x N array is allocated for N above the block
     size.  The modulus is taken with hypot, which rounds like the scalar
     complex abs; the result is bit for bit that of the plain double loop
@@ -865,8 +865,11 @@ def bethe_residuals(state: BetheState) -> np.ndarray:
             num.imag = 0.0
             np.subtract(num, shift, out=den)
             num += shift
-            num /= den
+            # l = j divides 1 by 1: (0 + ic) / (0 - ic) would take 1/c, which
+            # overflows for a subnormal c
             np.fill_diagonal(num[:, block], 1.0)
+            np.fill_diagonal(den[:, block], 1.0)
+            num /= den
             rhs = prefactor * num.prod(axis=1)
             z = np.exp(1j * k[block] * L) / rhs - 1.0
             out[block] = np.hypot(z.real, z.imag)

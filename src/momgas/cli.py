@@ -8,17 +8,28 @@ parameter set including the seed, so any output file is reproducible from
 its own header.  Output goes to stdout or to --output PATH, written
 atomically (temp file plus rename) so readers never observe a partial
 record.  Each subcommand is one entry of COMMANDS: its help text, flags,
-handler and CSV columns.  `main` builds the record once, in one walk over
-the parameters and the handler's results (`_jsonable`), and writes it, all
-inside the error boundary, so a result that is not finite exits 1 before
-anything is written and a path that cannot be written exits 1 too.
+handler and CSV columns.
+
+A cold process pays only for its own subcommand.  When the first argument
+names a subcommand, `main` builds a parser with that subparser alone; any
+other command line (--help, no subcommand, an unknown name, a leading flag)
+gets all of them, so every help, usage and error text is the full parser's.
+json or csv is imported when the record is rendered, and no module of the
+package imports dataclasses (which loads inspect).
+
+`main` builds the record once, in one walk over the parameters and the
+handler's results (`_jsonable`), and writes it, all inside the error
+boundary, so a result that is not finite, or a rational too long to write
+in decimal, exits 1 before anything is written, and a path that cannot be
+written exits 1 too.
 
 Exit codes separate misuse from falsification:
   0  success
   1  validation error (bad flags, out-of-guard N, malformed or non-finite numbers,
      attractive-sector solve, finite flags whose arithmetic leaves the float64
-     range and so would put NaN or Infinity in the record, an --output path
-     that cannot be written, ...)
+     range and so would put NaN or Infinity in the record, a rational with more
+     digits than sys.get_int_max_str_digits(), an --output path that cannot be
+     written, ...)
   2  numerical non-convergence (Newton iteration exhausted or stalled, a Newton
      matrix singular in float64 at a hard-core coupling, a Fourier sum
      error estimate too large or value above its modulus bound or below its
@@ -32,9 +43,6 @@ Exit codes separate misuse from falsification:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import os
 import sys
@@ -97,13 +105,23 @@ def _eta_value(text: str | None) -> float | None:
 
 
 def _jsonable(value, field="cell"):
-    # the one walk from a result to its record: Fractions become strings and
-    # complex numbers {"re", "im"} pairs, and a float that left float64 is an
-    # ArithmeticError naming its field, since NaN and Infinity are not JSON.
-    # No Fraction exists unless fractions is loaded, so do not load it to ask
+    # the one walk from a result to its record: exact numbers (Fractions,
+    # Gaussian rationals) become strings and complex numbers {"re", "im"}
+    # pairs, and a float that left float64 is an ArithmeticError naming its
+    # field, since NaN and Infinity are not JSON.  No exact number exists
+    # unless fractions is loaded, so do not load it to ask
     fractions = sys.modules.get("fractions")
-    if fractions is not None and isinstance(value, fractions.Fraction):
-        return str(value)
+    if fractions is not None:
+        algebra = sys.modules.get(f"{__package__}.yang_baxter")
+        exact = (fractions.Fraction, algebra.GaussianRational) if algebra else fractions.Fraction
+        if isinstance(value, exact):
+            try:
+                return str(value)
+            except ValueError:
+                raise ValueError(f"{field} has an integer of more than "
+                                 f"sys.get_int_max_str_digits() = "
+                                 f"{sys.get_int_max_str_digits()} digits, too long "
+                                 "to write in decimal") from None
     if isinstance(value, complex):
         value = {"re": float(value.real), "im": float(value.imag)}
     if isinstance(value, float) and not math.isfinite(value):
@@ -116,6 +134,9 @@ def _jsonable(value, field="cell"):
 
 
 def _render_csv(columns: str, rows: list[dict]) -> str:
+    import csv
+    import io
+
     header = columns.split(",")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -273,12 +294,12 @@ def _cmd_yb_check(args):
         "unitarity": unitary,
         "yb_defect_nonzero": not defect.is_zero,
         "generic_triple": generic,
-        "max_entry": str(defect.max_entry),
+        "max_entry": defect.max_entry,
         "max_position": list(defect.max_position) if defect.max_position else None,
-        "witness": ({"row": witness[0], "col": witness[1], "entry": str(witness[2])}
+        "witness": ({"row": witness[0], "col": witness[1], "entry": witness[2]}
                     if witness else None),
-        "trivial_projection": str(triv),
-        "sign_projection": str(sign),
+        "trivial_projection": triv,
+        "sign_projection": sign,
         "projections_zero": triv.is_zero and sign.is_zero,
     }
     failed = (not unitary) or (not results["projections_zero"]) \
@@ -299,7 +320,7 @@ def _cmd_delta_control(args):
         "variant": {"s_u": s_u, "s_c": s_c},
         "unitarity": unitary,
         "defect_zero": defect.is_zero,
-        "first_nonzero": ({"row": first[0], "col": first[1], "entry": str(first[2])}
+        "first_nonzero": ({"row": first[0], "col": first[1], "entry": first[2]}
                           if first else None),
     }
     failed = (not unitary) or (not defect.is_zero)
@@ -483,12 +504,13 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(names=COMMANDS) -> _Parser:
     parser = _Parser(prog="momgas",
                      description="Exactly solvable 1D gas with momentum-dependent "
                                  "contact interactions")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, command in COMMANDS.items():
+    for name in names:
+        command = COMMANDS[name]
         p = sub.add_parser(name, help=command.help)
         for flag, options in _OUTPUT + command.flags:
             p.add_argument(flag, **options)
@@ -496,8 +518,13 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known subcommand gets a parser with its own subparser only; any other
+    # argv (help, no subcommand, an unknown name, a leading flag) gets them
+    # all, since its help and error texts name them
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(names).parse_args(argv)
         command = COMMANDS[args.command]
         results, rows, code = command.handler(args)
         # the full reproducibility block: every flag except the output path
@@ -506,6 +533,8 @@ def main(argv=None) -> int:
                   "command": args.command, "params": _jsonable(params, "params"),
                   "results": _jsonable(results, "results")}
         if args.format == "json":
+            import json
+
             text = json.dumps(record, sort_keys=True, indent=2) + "\n"
         else:
             text = _render_csv(command.columns, [{**record["params"], **record["results"]}]

@@ -25,7 +25,7 @@ lam * c_B = pi^2/4 independently of g and c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .twobody import _check_finite, _check_integer, _require_finite
 
@@ -46,8 +46,7 @@ def _check_mass_speed(m: float, c: float) -> None:
         raise ValueError("mass and speed of light must be positive")
 
 
-@dataclass(frozen=True)
-class BogoliubovPair:
+class BogoliubovPair(NamedTuple):
     """Weights of the canonical transformation: a_plus^2 + a_minus^2 = 1."""
     a_plus: float
     a_minus: float

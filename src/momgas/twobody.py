@@ -44,8 +44,8 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = [
     "Parity", "TwoBodyState", "BoundaryResidual",
@@ -61,8 +61,7 @@ class Parity(Enum):
     ODD = "odd"
 
 
-@dataclass(frozen=True)
-class TwoBodyState:
+class TwoBodyState(NamedTuple):
     """A two-particle relative-motion eigenstate.
 
     `k` is the relative momentum (real for scattering states, purely
@@ -78,8 +77,7 @@ class TwoBodyState:
         return self.energy < 0
 
 
-@dataclass(frozen=True)
-class BoundaryResidual:
+class BoundaryResidual(NamedTuple):
     """Defects of the two matching conditions at a contact hyperplane.
 
     Both vanish (to evaluation roundoff) on true eigenfunctions.

@@ -47,8 +47,8 @@ six terms and costs the same at every N; no particle-number guard applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .twobody import _check_integer, perm_sign
 
@@ -69,8 +69,7 @@ def _fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(NamedTuple):
     """Complex number with exact rational real and imaginary parts."""
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
@@ -342,8 +341,7 @@ def sign_projection(m: GroupAlgebraElement) -> GaussianRational:
     return total
 
 
-@dataclass(frozen=True)
-class DefectResult:
+class DefectResult(NamedTuple):
     """Difference of the two Yang-Baxter triple products, exactly."""
     matrix: GroupAlgebraElement
     max_entry: GaussianRational

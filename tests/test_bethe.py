@@ -1337,6 +1337,16 @@ def test_hard_core_couplings_solve_without_a_float_warning(solve):
     assert bethe_residuals(state).max() <= 1e-12
 
 
+@pytest.mark.parametrize("c", [3e-309, 1e-320])
+def test_subnormal_couplings_check_without_a_float_warning(c):
+    # the l = j factors (0 + ic) / (0 - ic) would take 1/c, which overflows
+    state = solve_lieb_liniger(3, 1.0, c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residuals = bethe_residuals(state)
+    assert residuals.max() <= 1e-12
+
+
 def test_solver_rejects_bad_input():
     with pytest.raises(ValueError, match="attractive"):
         solve_bethe(2, 10.0, -1.0)

@@ -178,6 +178,75 @@ def test_exit_1_on_attractive_solve(capsys):
     assert "attractive" in capsys.readouterr().err
 
 
+# ---------------------------------------------------------------------------
+# parsing: a known subcommand builds its own subparser only, and every help,
+# usage and error text is that of the full parser
+
+PARSER_TEXTS = json.loads((Path(__file__).parent / "golden" / "parser_texts.json").read_text())
+
+
+def _parser_text(capsys, argv):
+    # (stdout, stderr, exit code) of main(argv); --help exits through SystemExit
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+@pytest.mark.parametrize("case", sorted(PARSER_TEXTS["cases"]))
+def test_parser_texts_match_the_pinned_bytes(capsys, monkeypatch, case):
+    # pinned under PARSER_TEXTS["python"] with COLUMNS=80, before main built
+    # one subparser.  argparse words its texts differently in other Python
+    # versions; there the texts are held to those of the full parser
+    import momgas.cli
+
+    pin = PARSER_TEXTS["cases"][case]
+    monkeypatch.setenv("COLUMNS", str(PARSER_TEXTS["columns"]))
+    got = _parser_text(capsys, pin["argv"])
+    if "%d.%d" % sys.version_info[:2] == PARSER_TEXTS["python"]:
+        assert got == (pin["stdout"], pin["stderr"], pin["code"])
+    full = momgas.cli._build_parser
+    monkeypatch.setattr(momgas.cli, "_build_parser", lambda names: full())
+    assert got == _parser_text(capsys, pin["argv"])
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["coleman", "--g", "1"], ["coleman"]),
+    (["bethe-solve", "--help"], ["bethe-solve"]),
+    (["--help"], list(COMMANDS)),
+    (["no-such-command"], list(COMMANDS)),
+    ([], list(COMMANDS)),
+    (["--format", "csv", "coleman"], list(COMMANDS)),
+])
+def test_a_known_subcommand_builds_only_its_own_subparser(capsys, monkeypatch, argv, built):
+    import argparse
+
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def record(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", record)
+    _parser_text(capsys, argv)
+    assert names == built
+
+
+def test_main_without_argv_reads_the_command_line(capsys, monkeypatch):
+    # the console script calls main() with no argv
+    monkeypatch.setattr(sys, "argv", ["momgas", "coleman", "--g", "1"])
+    assert main() == 0
+    expected = capsys.readouterr().out
+    assert main(["coleman", "--g", "1"]) == 0
+    assert capsys.readouterr().out == expected
+    monkeypatch.setattr(sys, "argv", ["momgas", "no-such-command"])
+    assert main() == 1
+    assert "no-such-command" in capsys.readouterr().err
+
+
 def test_exit_1_on_unknown_command(capsys):
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
@@ -292,6 +361,20 @@ def test_exit_1_on_float_passed_to_exact_check(capsys):
     # never constructed
     code = main(["yb-check", "--n", "3", "--u", "0.5", "--v", "2", "--lambda", "1"])
     assert code == 0  # Fraction("0.5") is exact
+
+
+@pytest.mark.parametrize("u, field", [
+    # 5001 digits in the flag itself; 1500 digits in u grow past 4300 in the defect
+    ("1e5000", "params.u"),
+    ("1e1500", "results.max_entry"),
+])
+def test_exit_1_names_a_rational_too_long_to_write(capsys, u, field):
+    assert main(["yb-check", "--n", "3", "--u", u, "--v", "2", "--lambda", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {field} has an integer of more than "
+                            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()} "
+                            "digits, too long to write in decimal\n")
+    assert captured.out == ""
 
 
 def test_exit_2_on_non_convergence(capsys):
