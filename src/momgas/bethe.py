@@ -100,8 +100,9 @@ Row blocks.  The log form, the Jacobian fill and the product-form check
 of RESIDUAL_BLOCK_ROWS.  From SPLIT_MIN_BLOCKS blocks on, each pass splits
 its blocks into contiguous groups, one per CPU the process may run on
 (`os.sched_getaffinity`; there is no setting): the calling thread runs the
-first group and worker threads the others, started on first use, one set
-per process (a forked child starts its own).  Each row is computed by one
+first group and a `concurrent.futures.ThreadPoolExecutor` the others, made
+on first use, one per process (a forked child makes its own); a pass of one
+group imports nothing and starts no thread.  Each row is computed by one
 thread with the same operations, so the bits do not depend on the split.
 theta and theta' act in place: the log form and the check work in per-group
 scratch blocks that the calling thread allocates once per solve (once per
@@ -449,87 +450,38 @@ def _row_blocks(rows: range):
 
 def _row_groups(n: int) -> list[range]:
     # contiguous runs of whole row blocks, one per CPU the process may run on
-    # from SPLIT_MIN_BLOCKS blocks on, a single run below that
+    # (read at each call) from SPLIT_MIN_BLOCKS blocks on, a single run below that
     blocks = -(-n // RESIDUAL_BLOCK_ROWS)
-    count = 1 if blocks < SPLIT_MIN_BLOCKS else min(blocks, _this_crew().cpus)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    count = 1 if blocks < SPLIT_MIN_BLOCKS else min(blocks, cpus)
     edges = [min(n, RESIDUAL_BLOCK_ROWS * (blocks * g // count)) for g in range(count + 1)]
     return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _outcome(task) -> BaseException | None:
-    try:
-        task()
-    except BaseException as error:
-        return error
-    return None
-
-
-def _serve(inbox) -> None:
-    # a worker thread's loop; it drops each task before reporting it done,
-    # so no array a task reaches outlives the caller's pass
-    while True:
-        index, task, done = inbox.get()
-        outcome = _outcome(task)
-        del task
-        done.put((index, outcome))
-
-
-class _Crew:
-    # the worker threads of one process, started on first use: one fewer than
-    # the CPUs it may run on (read once), as the calling thread runs the
-    # first group.  A forked child inherits the object but not the threads,
-    # so each process makes its own (`_this_crew`)
-    def __init__(self):
-        import threading
-
-        self.cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count() or 1)
-        self.lock = threading.Lock()   # guards starting the threads
-        self.inboxes = []
-
-    def run(self, tasks) -> None:
-        # tasks[0] on the calling thread and tasks[i] on worker i; returns
-        # when all are done and raises the exception of the first task that
-        # failed.  Calls from several program threads at once queue behind
-        # each other at the workers, each waiting on its own `done`
-        import queue
-        import threading
-
-        with self.lock:
-            while len(self.inboxes) < len(tasks) - 1:
-                self.inboxes.append(queue.SimpleQueue())
-                threading.Thread(target=_serve, args=(self.inboxes[-1],), daemon=True,
-                                 name="momgas-rows").start()
-        done = queue.SimpleQueue()
-        for index, inbox in enumerate(self.inboxes[:len(tasks) - 1], 1):
-            inbox.put((index, tasks[index], done))
-        outcomes = [_outcome(tasks[0])] + [None] * (len(tasks) - 1)
-        for _ in tasks[1:]:
-            index, outcome = done.get()
-            outcomes[index] = outcome
-        for error in outcomes:
-            if error is not None:
-                raise error
-
-
-_crews = {}   # pid -> _Crew
-
-
-def _this_crew() -> _Crew:
-    # setdefault is atomic, so threads that race here share one crew
-    crew = _crews.get(os.getpid())
-    return crew if crew is not None else _crews.setdefault(os.getpid(), _Crew())
+_pools = {}   # pid -> the ThreadPoolExecutor of that process's split passes
 
 
 def _on_groups(groups: list[range], work) -> None:
     # work(g, rows) for each group g of `_row_groups`: in the calling thread
-    # alone for one group, else split across the crew.  Each row is computed
-    # by one thread with the same operations either way, so the bits do not
-    # depend on the split
+    # alone for one group, else group 0 there and the others on the pool,
+    # made on first use with a worker per further group (a forked child
+    # inherits the object, not its threads).  Every group finishes before
+    # the pass returns or raises, and the lowest group's error wins
     if len(groups) == 1:
+        return work(0, groups[0])
+    from concurrent.futures import ThreadPoolExecutor
+
+    # setdefault is atomic, so threads that race here share one pool
+    pool = _pools.get(os.getpid()) or _pools.setdefault(os.getpid(), ThreadPoolExecutor(
+        len(groups) - 1, thread_name_prefix="momgas-rows"))
+    futures = [pool.submit(work, g, rows) for g, rows in enumerate(groups[1:], 1)]
+    try:
         work(0, groups[0])
-    else:
-        _this_crew().run([functools.partial(work, g, rows) for g, rows in enumerate(groups)])
+    finally:
+        errors = [future.exception() for future in futures]
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def _jacobi_pcg(J: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -886,10 +838,12 @@ def duality_check(n: int, L: float, lam: float, eta: float | None = None) -> dic
     With eta = None the fermion ring uses the parity rule (eta = 0 for even
     N, pi for odd N), under which the two root sets coincide; passing the
     opposite phase shows the macroscopic mismatch."""
+    # before the fermion solve, which this would waste; a lam that is not
+    # positive is left to the solve's own message
+    if lam > 0 and math.isinf(1.0 / lam):
+        raise ValueError(f"lam = {lam!r} has no dual delta gas: c = 1/lam overflows float64")
     fermion = solve_bethe(n, L, lam, eta=eta)
     c_dual = 1.0 / lam
-    if not math.isfinite(c_dual):
-        raise ValueError(f"lam = {lam!r} has no dual delta gas: c = 1/lam overflows float64")
     qn, eta_used = fermion.quantum_numbers, fermion.boundary_phase
     boson = solve_lieb_liniger(n, L, c_dual, quantum_numbers=qn)
     return {

@@ -10,6 +10,7 @@ import random
 import re
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -1063,17 +1064,18 @@ def test_program_threads_that_solve_at_once_share_the_crew():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_solves_on_threads_of_its_own(fresh_python):
-    # the child inherits the crew object but not its threads; it must start
+    # the child inherits the pool object but not its threads; it must start
     # its own and finish, not wait on the parent's
     code = """
-import os, sys, time, warnings
+import os, sys, threading, time, warnings
 from momgas import bethe
 warnings.simplefilter("ignore", DeprecationWarning)   # fork() with threads running
 first = repr(bethe.solve_bethe(1024, 1024.0, 1.0, tol=1e-11))
 pid = os.fork()
 if pid == 0:
     again = repr(bethe.solve_bethe(1024, 1024.0, 1.0, tol=1e-11))
-    own = len(bethe._crews[os.getpid()].inboxes) == len(bethe._row_groups(1024)) - 1
+    workers = [t for t in threading.enumerate() if t.name.startswith("momgas-rows")]
+    own = len(workers) == len(bethe._row_groups(1024)) - 1
     os._exit(0 if again == first and own else 1)
 deadline = time.monotonic() + 60
 while time.monotonic() < deadline:
@@ -1087,6 +1089,37 @@ print("child hung")
 """
     proc = fresh_python(code)
     assert (proc.returncode, proc.stdout.strip()) == (0, "0"), proc.stderr
+
+
+class _GroupError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [(), (1,), (0, 1), (1, 2)])
+def test_a_split_pass_waits_for_every_group_and_raises_the_lowest_error(failing):
+    # a failing group g raises its own error after 0.01 (3 - g) s, so higher
+    # groups fail first; any other group sleeps 0.05 (g + 1) s, so the
+    # calling thread's group 0 is done first, and then records that it
+    # finished.  The pass returns or raises only after all groups have
+    # finished, and raises the error of the lowest failing group
+    groups = [range(64 * g, 64 * (g + 1)) for g in range(3)]
+    finished = []
+
+    def work(g, rows):
+        assert rows == groups[g]
+        if g in failing:
+            time.sleep(0.01 * (3 - g))
+            raise _GroupError(g)
+        time.sleep(0.05 * (g + 1))
+        finished.append(g)
+
+    if failing:
+        with pytest.raises(_GroupError) as error:
+            bethe._on_groups(groups, work)
+        assert error.value.args == (failing[0],)
+    else:
+        bethe._on_groups(groups, work)
+    assert sorted(finished) == [g for g in range(3) if g not in failing]
 
 
 def test_excited_block_and_explicit_eta():
@@ -1522,6 +1555,19 @@ def test_duality_names_a_lambda_whose_inverse_overflows():
     # the message names the lam the caller passed, not the c = 1/lam it never did
     with pytest.raises(ValueError, match=r"lam = 1e-309 .*c = 1/lam overflows float64"):
         duality_check(3, 10.0, 1e-309)
+
+
+def test_duality_rejects_an_overflowing_lambda_before_it_solves(monkeypatch):
+    # a lam whose dual c = 1/lam overflows is rejected before the fermion
+    # ring is solved, as no boson ring could be compared with it
+    def solve(*args, **kwargs):
+        raise AssertionError("a ring was solved")
+
+    monkeypatch.setattr(bethe, "solve_bethe", solve)
+    monkeypatch.setattr(bethe, "solve_lieb_liniger", solve)
+    with pytest.raises(ValueError) as error:
+        duality_check(1024, 1024.0, 1e-310)
+    assert str(error.value) == "lam = 1e-310 has no dual delta gas: c = 1/lam overflows float64"
 
 
 # ---------------------------------------------------------------------------
