@@ -5,9 +5,10 @@ The package implements, in units 2m = hbar = 1:
 
   * two-particle scattering and bound states of the interaction
     2*lam*(d_j - d_k) delta(x_j - x_k) (d_j - d_k)  (`twobody`),
-  * Gaudin-type Bethe-ansatz eigenfunctions for N fermions, finite-ring
-    Bethe equations, and the duality to the delta-interaction boson gas
-    at c = 1/lam  (`bethe`),
+  * Gaudin-type Bethe-ansatz eigenfunctions for N fermions and their
+    contact and Schroedinger checks  (`gaudin`),
+  * finite-ring Bethe equations and the duality to the delta-interaction
+    boson gas at c = 1/lam  (`bethe`),
   * exact Gaussian-rational Yang operators on the regular representation
     of S_N: unitarity holds, the Yang-Baxter relations fail  (`yang_baxter`),
   * the non-relativistic limit bookkeeping: Dirac dispersion, Bogoliubov
@@ -43,11 +44,13 @@ _EXPORTS = {
         "bc_residual", "bound_state", "eval_two_body", "eval_two_body_derivative",
         "scattering_state", "two_body_residual",
     ),
+    "gaudin": (
+        "BetheWavefunction", "eval_wavefunction",
+        "gaudin_residual_scan", "gaudin_wavefunction", "schrodinger_residual",
+    ),
     "bethe": (
-        "BetheState", "BetheWavefunction",
-        "bethe_residuals", "duality_check", "eval_wavefunction",
-        "gaudin_residual_scan", "gaudin_wavefunction",
-        "ground_state_scan", "schrodinger_residual", "solve_bethe", "solve_lieb_liniger",
+        "BetheState", "bethe_residuals", "duality_check",
+        "ground_state_scan", "solve_bethe", "solve_lieb_liniger",
     ),
     "yang_baxter": (
         "GaussianRational", "GroupAlgebraElement",

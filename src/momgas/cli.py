@@ -169,8 +169,8 @@ def _write_output(text: str, path: str | None) -> None:
 # single-row command, whose CSV row is {**params, **results} projected onto
 # its columns.  Each handler imports its library module when it runs, not
 # with this module, so a cold process loads only the module it computes
-# with: numpy comes with the ring solvers of `bethe`, mpmath with its
-# Gaudin probe, and the other modules are plain Python.
+# with: numpy comes with the ring solvers of `bethe`, mpmath with the
+# Gaudin probe of `gaudin`, and the other modules are plain Python.
 
 
 def _cmd_two_body(args):
@@ -258,7 +258,7 @@ def _cmd_duality(args):
 
 
 def _cmd_gaudin_check(args):
-    from .bethe import gaudin_residual_scan
+    from .gaudin import gaudin_residual_scan
 
     rows = gaudin_residual_scan(args.n, args.draws, seed=args.seed)
     results = {

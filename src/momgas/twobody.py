@@ -202,10 +202,10 @@ def bc_residual(wavefunction, lam: float, pair: tuple[int, int],
                 base_point) -> BoundaryResidual:
     """Defects of the N-body matching conditions at a point on x_j = x_k.
 
-    `wavefunction` is a `bethe.BetheWavefunction`; its ``contact_limits``
+    `wavefunction` is a `gaudin.BetheWavefunction`; its ``contact_limits``
     gives chi and (d_j - d_k) chi on x_j = x_k + 0+ analytically, and
     antisymmetry gives the - side: -chi with the same (d_j - d_k) chi.
-    `pair` holds 0-based coordinate indices (j, k); `base_point` holds one
+    `pair` holds 0-based integer indices (j, k); `base_point` holds one
     coordinate per particle and must lie on the hyperplane x_j = x_k (to
     1e-9 relative; x_k is then read as x_j) with all spectator coordinates
     distinct from each other and from the contact value.  A coordinate or
@@ -225,7 +225,7 @@ def bc_residual(wavefunction, lam: float, pair: tuple[int, int],
     if n != wavefunction.n:
         raise ValueError(f"base_point has {n} coordinates, but the wavefunction has "
                          f"{wavefunction.n} particles")
-    if not (0 <= j < n and 0 <= k < n) or j == k:
+    if not all(isinstance(v, numbers.Integral) and 0 <= v < n for v in pair) or j == k:
         raise ValueError(f"pair {pair!r} is not a valid coordinate pair for {n} coordinates")
     t = x[j]
     scale = 1.0 + max(abs(v) for v in x)

@@ -155,8 +155,8 @@ def _rank(p) -> int:
     return rank
 
 
-def _check_n(n: int) -> None:
-    _check_integer(n=n)
+def _check_n(n: int, **site) -> None:
+    _check_integer(n=n, **site)
     if n < 1:
         raise ValueError(f"N = {n} is not a positive particle number")
 
@@ -305,7 +305,7 @@ def yang_op(i: int, u, lam, n: int) -> GroupAlgebraElement:
     lam != 0.  Its scalar actions on the boson and fermion sectors
     (T_i -> +1, -1) are its trivial_projection, 1, and its sign_projection,
     (iu + 1/lam)/(iu - 1/lam)."""
-    _check_n(n)
+    _check_n(n, i=i)
     (a, b), d = _yang_parts(u, lam)
     return _exchange(i, n, (a / d, b / d))
 
@@ -314,7 +314,7 @@ def _is_unitary(parts, i: int, u, n: int) -> bool:
     # Y(-u) Y(u) == identity as N(-u) N(u) == d(-u) d(u) 1, for the
     # numerator builder parts(arg) -> ((a, b), d)
     u = _fraction(u)
-    _check_n(n)
+    _check_n(n, i=i)
     (ab_neg, d_neg), (ab, d) = parts(-u), parts(u)
     product = _exchange(i, n, ab_neg) @ _exchange(i, n, ab)
     return product == GroupAlgebraElement(n, {tuple(range(n)): d_neg * d})
@@ -356,7 +356,7 @@ def _triple_defect(parts, i: int, u, v, n: int, name: str) -> GroupAlgebraElemen
     # Y_i(v) Y_{i+1}(u+v) Y_i(u) - Y_{i+1}(u) Y_i(v+u) Y_{i+1}(v) = (N_L - N_R)/Delta
     # for parts(arg) -> ((a, b), d); the product order fixes the order in which
     # entries first appear, and with it max_position's tie-breaking
-    _check_n(n)
+    _check_n(n, i=i)
     if not 1 <= i <= n - 2:
         raise ValueError(f"{name} needs sites i and i+1: i = {i} outside 1..{n - 2}")
     u = _fraction(u)
@@ -398,7 +398,7 @@ def _delta_parts(u, c):
 def delta_yang_op(i: int, u, c, n: int) -> GroupAlgebraElement:
     """Delta-interaction exchange operator (ic + u T_i) / (u - ic), in the
     sign convention (s_u, s_c) = DELTA_SIGNS = (1, 1)."""
-    _check_n(n)
+    _check_n(n, i=i)
     (a, b), d = _delta_parts(u, c)
     return _exchange(i, n, (a / d, b / d))
 

@@ -29,7 +29,8 @@ import random
 import time
 from fractions import Fraction
 
-from momgas.bethe import duality_check, gaudin_residual_scan, ground_state_scan
+from momgas.bethe import duality_check, ground_state_scan
+from momgas.gaudin import gaudin_residual_scan
 from momgas.nonrel import coupling_maps, coleman_check, \
     vertex_exact, vertex_expansion_scan
 from momgas.regularize import bound_state_energy_via_regularization

@@ -20,16 +20,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momgas import bethe
+from momgas import bethe, gaudin
 from momgas.bethe import (
-    MAX_PARTICLES_ENUMERATED, RESIDUAL_BLOCK_ROWS, BetheWavefunction, ConvergenceError,
-    bethe_residuals, duality_check, eval_wavefunction,
-    gaudin_residual_scan,
-    gaudin_wavefunction, ground_state_quantum_numbers, ground_state_scan,
-    parity_rule_eta, schrodinger_residual, solve_bethe, solve_lieb_liniger,
+    RESIDUAL_BLOCK_ROWS, ConvergenceError, bethe_residuals, duality_check,
+    ground_state_quantum_numbers, ground_state_scan, parity_rule_eta, solve_bethe,
+    solve_lieb_liniger,
+)
+from momgas.gaudin import (
+    MAX_PARTICLES_ENUMERATED, BetheWavefunction, eval_wavefunction, gaudin_residual_scan,
+    gaudin_wavefunction, schrodinger_residual,
 )
 from momgas.twobody import bc_residual
-from momgas.yang_baxter import GaussianRational, perm_sign, sign_projection, yang_op
+from momgas.yang_baxter import (
+    GaussianRational, check_unitarity, delta_control_defect, perm_sign, sign_projection, yang_op,
+    yb_defect,
+)
 from test_twobody import _mutant
 
 
@@ -590,7 +595,7 @@ def test_fixed_point_phases_are_the_truncated_mpmath_exponentials():
         for km, ys in pairs:
             z = mp.exp(mp.mpc(0, mp.mpf(km) * mp.mpf(ys)))
             expected = (int(mp.ldexp(z.real, frac)), int(mp.ldexp(z.imag, frac)))
-            assert bethe._fixed_phases([km], [ys], prec, frac) == [expected], (km, ys)
+            assert gaudin._fixed_phases([km], [ys], prec, frac) == [expected], (km, ys)
 
 
 def test_schrodinger_residual_returns_a_builtin_float():
@@ -617,13 +622,13 @@ def test_schrodinger_residual_validates_geometry():
 def test_residual_scan_builds_one_state_per_draw(monkeypatch):
     # the contact check and the Schroedinger probe share the draw's state
     calls = []
-    original = bethe.gaudin_wavefunction
+    original = gaudin.gaudin_wavefunction
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(bethe, "gaudin_wavefunction", counted)
+    monkeypatch.setattr(gaudin, "gaudin_wavefunction", counted)
     gaudin_residual_scan(4, 3, seed=1)
     assert len(calls) == 3
 
@@ -1033,7 +1038,7 @@ with warnings.catch_warnings():
     assert split == one_cpu
 
 
-def test_program_threads_that_solve_at_once_share_the_crew():
+def test_program_threads_that_solve_at_once_share_the_pool():
     # six program threads at once, switching often, each sending split
     # passes to the same workers: every one gets its own roots and
     # residuals, as when solving alone
@@ -1120,6 +1125,22 @@ def test_a_split_pass_waits_for_every_group_and_raises_the_lowest_error(failing)
     else:
         bethe._on_groups(groups, work)
     assert sorted(finished) == [g for g in range(3) if g not in failing]
+
+
+def test_a_first_pass_of_few_groups_caps_no_later_pass(monkeypatch):
+    # on 16 CPUs an N = 512 pass (8 groups) makes the pool, and an N = 4096
+    # pass then runs 16 groups that finish only if all 16 run at once
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    monkeypatch.setattr(bethe, "_pools", {})
+    barrier = threading.Barrier(16, timeout=10)
+    try:
+        bethe._on_groups(bethe._row_groups(512), lambda g, rows: None)
+        groups = bethe._row_groups(4096)
+        assert len(groups) == 16
+        bethe._on_groups(groups, lambda g, rows: barrier.wait())
+    finally:
+        for pool in bethe._pools.values():
+            pool.shutdown()
 
 
 def test_excited_block_and_explicit_eta():
@@ -1432,9 +1453,19 @@ def test_solvers_name_a_non_finite_box_or_coupling(call, name):
                  r"sizes must be integers, got \[8.7\]", id="gs_scan-size-8.7"),
     pytest.param(lambda: solve_bethe(4, 10.0, 1.0, max_iter=2.5),
                  "max_iter must be an integer, got max_iter = 2.5", id="bethe-max_iter-2.5"),
+    pytest.param(lambda: yb_defect(1.0, 1, 2, 1, 4), "i must be an integer, got i = 1.0",
+                 id="yb_defect-i-1.0"),
+    pytest.param(lambda: check_unitarity(1.0, 1, 1, 3), "i must be an integer, got i = 1.0",
+                 id="unitarity-i-1.0"),
+    pytest.param(lambda: delta_control_defect(2.5, 1, 2, 1, 5), "i must be an integer, got i = 2.5",
+                 id="delta_control-i-2.5"),
+    pytest.param(lambda: bc_residual(gaudin_wavefunction([-1.0, 0.5, 2.0], 0.7), 0.7, (0, 1.0),
+                                     [1.0, 1.0, 3.0]),
+                 r"pair \(0, 1.0\) is not a valid coordinate pair", id="bc_residual-pair-1.0"),
 ])
 def test_a_count_that_is_not_an_integer_is_named(call, text):
-    # not a bare TypeError from range(), and never a silently truncated N
+    # not a bare TypeError from range() or a list index, and never a
+    # silently truncated N
     with pytest.raises(ValueError, match=text):
         call()
 

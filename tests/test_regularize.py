@@ -360,9 +360,16 @@ def _loaded(proc):
     return proc.stdout.strip()
 
 
-@pytest.mark.parametrize("module", ["momgas", "momgas.cli"])
+@pytest.mark.parametrize("module", ["momgas", "momgas.cli", "momgas.gaudin"])
 def test_importing_the_package_or_the_cli_loads_no_heavy_library(fresh_python, module):
     assert _loaded(fresh_python(f"import sys, {module}; print({_LOADED})")) == "[]"
+
+
+def test_importing_the_ring_solver_loads_numpy_alone(fresh_python):
+    # numpy at module level, the thread pool only when a pass is split, and
+    # no mpmath with the Gaudin names it re-exports
+    code = f"import sys, momgas.bethe; print({_LOADED})"
+    assert _loaded(fresh_python(code)) == str(list(_NUMPY))
 
 
 def test_importing_the_cli_loads_no_library_module(fresh_python):

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from momgas.bethe import BetheWavefunction, gaudin_wavefunction, schrodinger_residual
+from momgas.gaudin import BetheWavefunction, gaudin_wavefunction, schrodinger_residual
 from momgas.twobody import (
     BoundaryResidual, Parity, TwoBodyState,
     bc_residual, bound_state, eval_two_body, eval_two_body_derivative,
